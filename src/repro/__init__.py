@@ -27,7 +27,6 @@ from .autotune import CostModel, EngineRouter, MatrixFeatures, extract_features
 from .backends import MatrixHandle, Session, SpMVEngine
 from .formats import COOMatrix, CSCMatrix, CSRMatrix
 from .metrics import ExecutionReport
-from .runtime import SerpensRuntime
 from .serpens import (
     SERPENS_A16,
     SERPENS_A24,
@@ -57,7 +56,6 @@ __all__ = [
     "ExecutionReport",
     "SerpensAccelerator",
     "SerpensConfig",
-    "SerpensRuntime",
     "Session",
     "SpMVEngine",
     "MatrixHandle",

@@ -19,17 +19,18 @@ The file has three tables::
 
 Any dependency not listed is forbidden; a package with no ``[layers.*]``
 table at all is an undeclared layer and every import from it is a finding.
-Python 3.11+ parses with :mod:`tomllib`; older interpreters fall back to a
-built-in parser for exactly this subset (tables, string/bool scalars, and
-string arrays) so the analyzer has zero third-party dependencies.
+The file is read by :func:`repro.tomlsubset.load_toml` (:mod:`tomllib` on
+Python 3.11+, a built-in subset parser below), so the analyzer has zero
+third-party dependencies.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
+
+from ..tomlsubset import load_toml
 
 __all__ = ["AnalysisConfig", "LayerSpec", "find_layers_file", "load_config"]
 
@@ -72,79 +73,6 @@ class AnalysisConfig:
         return BUILTIN_ENGINE_NAMES
 
 
-_TABLE = re.compile(r"^\[(?P<name>[^\]]+)\]$")
-_KEY_VALUE = re.compile(r"^(?P<key>[A-Za-z0-9_\-]+)\s*=\s*(?P<value>.+)$")
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a trailing comment (this subset never puts '#' inside strings
-    except in comments that follow a complete value)."""
-    in_string = False
-    for index, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:index]
-    return line
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"unterminated array in layers.toml: {text!r}")
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_value(item) for item in body.split(",") if item.strip()]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    raise ValueError(f"unsupported TOML value in layers.toml: {text!r}")
-
-
-def _parse_toml_subset(text: str) -> Dict[str, object]:
-    """Parse the tables/strings/bools/string-arrays subset of TOML."""
-    document: Dict[str, object] = {}
-    table: Dict[str, object] = document
-    pending = ""
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if pending:
-            # Continuation of a multi-line array value.
-            line = pending + " " + line
-            pending = ""
-        if "[" in line.partition("=")[2] and not line.rstrip().endswith("]"):
-            pending = line
-            continue
-        match = _TABLE.match(line)
-        if match is not None:
-            table = document
-            for part in match.group("name").split("."):
-                # Quoted keys like [layers."<root>"] carry no dots here,
-                # so stripping quotes after the split is sufficient.
-                key = part.strip().strip('"')
-                table = table.setdefault(key, {})  # type: ignore[assignment]
-            continue
-        match = _KEY_VALUE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable layers.toml line: {raw!r}")
-        table[match.group("key")] = _parse_value(match.group("value"))
-    return document
-
-
-def _load_toml(path: Path) -> Dict[str, object]:
-    try:
-        import tomllib  # Python 3.11+
-    except ImportError:
-        return _parse_toml_subset(path.read_text())
-    with open(path, "rb") as handle:
-        return tomllib.load(handle)
-
-
 def find_layers_file(start: Optional[Path] = None) -> Optional[Path]:
     """Locate ``analysis/layers.toml`` by walking up from ``start``.
 
@@ -167,7 +95,7 @@ def load_config(path: Optional[Path] = None) -> AnalysisConfig:
             "no analysis/layers.toml found; pass --layers PATH or commit one "
             "at the repository root"
         )
-    document = _load_toml(layers_path)
+    document = load_toml(layers_path)
     meta = document.get("analysis", {})
     numerics = document.get("numerics", {})
     rules = document.get("rules", {})

@@ -74,8 +74,6 @@ class EngineRouter:
     cost_model:
         Optional calibrated predictor (fit one in place with
         :meth:`calibrate`); without it, routing ranks raw estimates.
-    engine_mode, build_mode:
-        Modes applied when candidate engines are provisioned.
     timing_model:
         Estimate model backing the predictions.
     hint_tolerance:
@@ -89,8 +87,6 @@ class EngineRouter:
         self,
         candidates: Optional[Sequence[CandidateSpec]] = None,
         cost_model: Optional[CostModel] = None,
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
         timing_model: str = "detailed",
         hint_tolerance: float = 2.0,
     ) -> None:
@@ -103,8 +99,6 @@ class EngineRouter:
             ),
             cost_model=cost_model,
             strategy="exhaustive",
-            engine_mode=engine_mode,
-            build_mode=build_mode,
             timing_model=timing_model,
             measure=False,
         )

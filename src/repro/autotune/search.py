@@ -34,7 +34,7 @@ from ..backends import (
     ENGINE_SEXTANS,
     SpMVEngine,
     available,
-    provision,
+    resolve,
 )
 from ..eval.reporting import render_tuning_report
 from ..formats import COOMatrix
@@ -85,13 +85,9 @@ class CandidateSpec:
     spec: Union[str, SerpensConfig]
     description: str = ""
 
-    def build(
-        self,
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
-    ) -> SpMVEngine:
-        """Provision the candidate's engine (modes applied where supported)."""
-        return provision(self.spec, mode=engine_mode, build_mode=build_mode)
+    def build(self) -> SpMVEngine:
+        """The candidate's engine (an engine-instance spec is returned as-is)."""
+        return resolve(self.spec)
 
     @property
     def num_sparse_channels(self) -> Optional[int]:
@@ -296,8 +292,6 @@ class DesignSpaceExplorer:
         analytic estimates.
     strategy:
         ``"exhaustive"`` or ``"halving"`` (see module docstring).
-    engine_mode, build_mode:
-        Simulator execution / program-builder modes for mode-aware engines.
     timing_model:
         Estimate model (``"detailed"`` / ``"analytic"``) used for the
         prediction backbone.
@@ -313,8 +307,6 @@ class DesignSpaceExplorer:
         candidates: Optional[Sequence[CandidateSpec]] = None,
         cost_model: Optional[CostModel] = None,
         strategy: str = "exhaustive",
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
         timing_model: str = "detailed",
         finalists: int = 3,
         measure: bool = True,
@@ -335,8 +327,6 @@ class DesignSpaceExplorer:
             raise ValueError("candidate keys must be unique")
         self.cost_model = cost_model
         self.strategy = strategy
-        self.engine_mode = engine_mode
-        self.build_mode = build_mode
         self.timing_model = timing_model
         self.finalists = finalists
         self.measure = measure
@@ -354,9 +344,7 @@ class DesignSpaceExplorer:
         """The (cached) engine instance behind one candidate key."""
         if key not in self._engines:
             candidate = next(c for c in self.candidates if c.key == key)
-            self._engines[key] = candidate.build(
-                engine_mode=self.engine_mode, build_mode=self.build_mode
-            )
+            self._engines[key] = candidate.build()
         return self._engines[key]
 
     def measure_candidate(

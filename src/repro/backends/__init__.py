@@ -53,8 +53,6 @@ from .registry import (
     available,
     create,
     describe,
-    factory_accepts,
-    provision,
     register,
     registration,
     resolve,
@@ -91,8 +89,6 @@ __all__ = [
     "describe",
     "register",
     "register_builtin_engines",
-    "factory_accepts",
-    "provision",
     "registration",
     "resolve",
     "unregister",

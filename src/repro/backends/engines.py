@@ -117,8 +117,8 @@ class SerpensEngine(SpMVEngine):
         return self.config.to_partition_params()
 
     def program_key(self, fingerprint: str) -> str:
-        # Bare fingerprints keep the on-disk program layout of the historical
-        # SerpensRuntime; the cache's params check disambiguates builds.
+        # The bare-fingerprint disk layout: one file per matrix, whatever
+        # the build; the cache's params check disambiguates builds.
         return fingerprint
 
 

@@ -9,9 +9,8 @@ and never needs to know the concrete class.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from .base import SpMVEngine
 
@@ -19,8 +18,6 @@ __all__ = [
     "available",
     "create",
     "describe",
-    "factory_accepts",
-    "provision",
     "register",
     "registration",
     "resolve",
@@ -144,28 +141,19 @@ def describe() -> Tuple[EngineRegistration, ...]:
     return tuple(_REGISTRY[name] for name in available())
 
 
-def resolve(engine: Union[str, SpMVEngine], **engine_kwargs) -> SpMVEngine:
+def resolve(engine: Union[str, SpMVEngine]) -> SpMVEngine:
     """Turn a registry name, engine instance, or Serpens config into an engine.
 
-    Accepting a :class:`~repro.serpens.SerpensConfig` directly keeps the
-    ``SerpensRuntime(config=cfg)`` → ``Session(cfg)`` migration a one-token
-    change and gives the pool, the Session and the application hooks one
-    common spec vocabulary.
-
-    ``engine_kwargs`` are forwarded to the factory when a fresh engine is
-    constructed (e.g. ``mode="reference"`` for the Serpens engines); passing
-    them alongside an already-built engine instance is an error, because the
-    instance's configuration cannot be changed here.
+    Accepting a :class:`~repro.serpens.SerpensConfig` directly gives the
+    pool, the Session and the application hooks one common spec vocabulary.
+    Execution and build modes are chosen where an engine is constructed
+    (``create(name, mode=...)``, ``SerpensEngine(config, mode=...)``); an
+    instance passes through unchanged.
     """
     if isinstance(engine, SpMVEngine):
-        if engine_kwargs:
-            raise ValueError(
-                "engine keyword overrides cannot be applied to an "
-                f"already-constructed engine instance ({engine!r})"
-            )
         return engine
     if isinstance(engine, str):
-        return create(engine, **engine_kwargs)
+        return create(engine)
     # Imported lazily: registry must stay importable before engines.py (which
     # imports this module) has finished loading.
     from ..serpens import SerpensConfig
@@ -173,49 +161,8 @@ def resolve(engine: Union[str, SpMVEngine], **engine_kwargs) -> SpMVEngine:
     if isinstance(engine, SerpensConfig):
         from .engines import SerpensEngine
 
-        return SerpensEngine(engine, **engine_kwargs)
+        return SerpensEngine(engine)
     raise TypeError(
         "expected an engine name, an SpMVEngine, or a SerpensConfig, "
         f"got {type(engine).__name__}"
     )
-
-
-def factory_accepts(name: str, keyword: str) -> bool:
-    """Whether a registry entry's factory takes the given keyword argument."""
-    factory = _lookup(name).factory
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return keyword in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def provision(
-    engine: Union[str, SpMVEngine],
-    mode: Optional[str] = None,
-    build_mode: Optional[str] = None,
-) -> SpMVEngine:
-    """Resolve an engine spec, applying execution/build modes where supported.
-
-    This is the tolerant counterpart of :func:`resolve` that the Session and
-    the serving pool share: already-built engine instances are returned as-is
-    (their modes were chosen at construction), factories that take no
-    ``mode`` / ``build_mode`` keyword — the model-timed baselines — are
-    created without them, and only mode-aware factories (the Serpens
-    simulators) receive the overrides.  ``mode`` selects the simulator
-    execution engine, ``build_mode`` the program builder ``prepare`` runs.
-    """
-    if isinstance(engine, SpMVEngine):
-        return resolve(engine)
-    kwargs = {}
-    if mode is not None:
-        kwargs["mode"] = mode
-    if build_mode is not None:
-        kwargs["build_mode"] = build_mode
-    if isinstance(engine, str):
-        kwargs = {
-            key: value for key, value in kwargs.items() if factory_accepts(engine, key)
-        }
-    return resolve(engine, **kwargs)

@@ -13,9 +13,6 @@ engine:
   the host-side preprocessing,
 * per-matrix and session-wide statistics (launches, accelerator seconds,
   traversed edges) are aggregated — the numbers a capacity planner wants.
-
-The historical single-accelerator :class:`~repro.runtime.SerpensRuntime` is
-now a thin deprecated subclass bound to a :class:`~repro.backends.SerpensEngine`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import numpy as np
 from ..formats import COOMatrix
 from ..metrics import ExecutionReport
 from .base import PreparedMatrix, SpMVEngine, _as_coo
-from .registry import provision
+from .registry import resolve
 
 __all__ = ["MatrixHandle", "Session", "as_spmv_fn"]
 
@@ -74,7 +71,9 @@ class Session:
         A registry name (``"serpens-a16"``, ``"sextans"``, ...), an
         :class:`~repro.backends.SpMVEngine` instance, or a
         :class:`~repro.serpens.SerpensConfig` build (wrapped in a
-        :class:`~repro.backends.SerpensEngine`).
+        :class:`~repro.backends.SerpensEngine`).  Oracle modes are chosen
+        where the engine is built:
+        ``Session(SerpensEngine(config, mode="reference"))``.
     cache_dir:
         Optional directory where cacheable prepared programs persist between
         sessions (currently the Serpens engines' programs).
@@ -85,16 +84,6 @@ class Session:
         Inject an existing :class:`~repro.serve.ProgramCache` (for example
         one shared with a serving pool); overrides ``cache_dir`` and
         ``cache_capacity``.
-    engine_mode:
-        Optional simulator execution mode (``"fast"`` / ``"reference"``)
-        applied when ``engine`` is a registry name or a Serpens config, with
-        the same tolerant semantics as the serving pool (see
-        :func:`repro.backends.provision`): engines without a mode ignore it,
-        already-built instances keep the mode they were constructed with.
-    build_mode:
-        Optional program-builder mode (``"fast"`` / ``"reference"``) applied
-        with the same tolerant semantics; it selects the preprocessing
-        pipeline ``prepare`` runs on cache misses.
     tracer:
         Optional :class:`repro.obs.Tracer` (duck-typed).  Registration then
         records a host wall-clock ``prepare`` span per prepared matrix and
@@ -113,8 +102,6 @@ class Session:
         cache_dir: Optional[Union[str, Path]] = None,
         cache_capacity: Optional[int] = None,
         program_cache=None,
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -122,7 +109,7 @@ class Session:
         # backends must not import serve at module level.
         from ..serve.cache import ProgramCache
 
-        self.engine = provision(engine, mode=engine_mode, build_mode=build_mode)
+        self.engine = resolve(engine)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.cache_capacity = cache_capacity
         if program_cache is None:

@@ -227,12 +227,7 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
         trace = generate_trace(
             args.scenario, args.requests, seed=args.seed, gap_scale=args.gap_scale
         )
-        pool = AcceleratorPool(
-            list(configs),
-            placement_policy=placement,
-            engine_mode=args.sim_mode,
-            build_mode=args.build_mode,
-        )
+        pool = AcceleratorPool(list(configs), placement_policy=placement)
         router = None
         if routed:
             # Calibrate the per-engine cost model on the trace's own matrix
@@ -328,8 +323,6 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
             with WorkerPool(
                 num_workers=args.workers,
                 engines=engine_names,
-                engine_mode=args.sim_mode,
-                build_mode=args.build_mode,
                 compute="simulate",
                 max_batch=args.max_batch,
                 results_path=args.results_db,
@@ -432,8 +425,6 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
         "a24": args.a24,
         "engines": args.engines,
         "pool": pool_label,
-        "sim_mode": args.sim_mode,
-        "build_mode": args.build_mode,
         "autotune": bool(args.autotune),
         "wall_clock": bool(getattr(args, "wall_clock", False)),
         "workers": getattr(args, "workers", None),
@@ -695,8 +686,6 @@ def _gate_args_from_config(config: Dict) -> argparse.Namespace:
         "--seed", str(config["seed"]),
         "--gap-scale", str(config["gap_scale"]),
         "--max-batch", str(config["max_batch"]),
-        "--sim-mode", str(config["sim_mode"]),
-        "--build-mode", str(config["build_mode"]),
     ]
     if config.get("cache_capacity") is not None:
         argv += ["--cache-capacity", str(config["cache_capacity"])]
@@ -1094,28 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serving.add_argument(
-        "--sim-mode",
-        type=str,
-        default="fast",
-        choices=("fast", "reference"),
-        help=(
-            "simulator execution mode for the pool's Serpens engines: "
-            "'fast' (vectorised columnar engine) or 'reference' "
-            "(per-element datapath oracle)"
-        ),
-    )
-    serving.add_argument(
-        "--build-mode",
-        type=str,
-        default="fast",
-        choices=("fast", "reference"),
-        help=(
-            "program-builder mode for the pool's Serpens engines: 'fast' "
-            "(vectorised array builder) or 'reference' (per-element oracle); "
-            "this is the host preprocessing every cache miss pays"
-        ),
-    )
-    serving.add_argument(
         "--wall-clock",
         action="store_true",
         help=(
@@ -1318,10 +1285,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_path(args: argparse.Namespace) -> Optional[str]:
+    """A one-line error for a path or fault plan that cannot work, else None.
+
+    Checked before any experiment or serving run starts, so a typo costs no
+    run and prints no traceback: ``main`` exits 2 on it, the contract
+    ``analyze --layers`` and ``results merge --source`` follow.
+    """
+    command = args.experiment
+    serving = command in ("serve-bench", "all")
+    gate = command == "results" and args.subcommand == "gate"
+    written = [("--output", args.output)]
+    if serving or command in ("tune", "results"):
+        written.append(("--results-db", args.results_db))
+    if serving:
+        written += [
+            ("--trace", args.trace),
+            ("--events", args.events),
+            ("--emit-bench", args.emit_bench),
+        ]
+    if gate and args.update_baseline:
+        written.append(("--baseline", args.baseline))
+    for flag, path in written:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            return f"{flag} {path}: directory does not exist"
+    if gate and not args.update_baseline:
+        baseline = args.baseline or DEFAULT_BENCH_BASELINE
+        if not os.path.isfile(baseline):
+            return f"--baseline {baseline}: no such bench snapshot"
+    if serving and args.fault_plan:
+        from .resilience import load_fault_plan
+
+        try:
+            load_fault_plan(args.fault_plan)
+        except (OSError, TypeError, ValueError) as error:
+            return f"--fault-plan {args.fault_plan}: {error}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _bad_path(args)
+    if problem is not None:
+        print(problem)
+        return 2
 
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)

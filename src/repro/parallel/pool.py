@@ -41,9 +41,8 @@ Robustness, because real processes die:
 Fault injection is declarative: pass a
 :class:`~repro.resilience.FaultPlan` (``fault_plan=``) and each worker gets
 its resolved share of the plan's crash/hang/slow/attach-failure/reply-drop
-specs; the legacy ``fail_on_batch`` mapping is translated into crash specs
-on the same path.  All resilience types are reached lazily (function-scoped
-imports), keeping the layer DAG acyclic.
+specs.  All resilience types are reached lazily (function-scoped imports),
+keeping the layer DAG acyclic.
 
 Per-worker shard :class:`~repro.obs.ResultsStore` databases are merged into
 one store on shutdown via :meth:`~repro.obs.ResultsStore.merge`.
@@ -63,7 +62,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from ..backends import DEFAULT_ENGINE, PreparedMatrix, SpMVEngine, provision
+from ..backends import DEFAULT_ENGINE, PreparedMatrix, SpMVEngine, create
 from ..formats import COOMatrix
 from ..preprocess import SerpensProgram
 from ..serve.cache import matrix_fingerprint
@@ -284,7 +283,8 @@ class WorkerPool:
         (the degraded mode the pool also falls back to on repeated failure).
     engines:
         One engine registry name for the whole pool, or one per worker
-        (cycled when shorter than ``num_workers``).
+        (cycled when shorter than ``num_workers``).  Workers build each
+        engine from its name with the registry defaults (the fast paths).
     compute:
         ``"simulate"`` (engine datapath, default), ``"reference"`` (golden
         numpy kernel) or ``"none"``; the same modes the virtual-time service
@@ -301,8 +301,7 @@ class WorkerPool:
         ``<path>.shard<N>`` and folded in on :meth:`shutdown`.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan`; each worker receives
-        its resolved share of the plan's specs.  ``fail_on_batch`` (legacy)
-        is translated into crash specs and merged in.
+        its resolved share of the plan's specs.
     retry_policy:
         ``"default"`` builds a :class:`~repro.resilience.RetryPolicy` with
         the historical behaviour (one retry, no backoff); pass a policy to
@@ -331,8 +330,6 @@ class WorkerPool:
         self,
         num_workers: int = 2,
         engines: Optional[Sequence[str]] = None,
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
         compute: str = "simulate",
         max_batch: int = 8,
         max_inflight: int = 2,
@@ -341,7 +338,6 @@ class WorkerPool:
         results_path: Optional[str] = None,
         scenario: str = "adhoc",
         start_method: Optional[str] = None,
-        fail_on_batch: Optional[Mapping[int, int]] = None,
         fault_plan=None,
         retry_policy="default",
         breaker="default",
@@ -357,18 +353,12 @@ class WorkerPool:
         names = list(engines) if engines else [DEFAULT_ENGINE]
         # Function-scoped import: the parallel layer reaches resilience only
         # through this lazy edge (see analysis/layers.toml).
-        from ..resilience.faults import crash_plan, merge_plans
         from ..resilience.policy import CircuitBreaker, RetryPolicy
 
-        plan = fault_plan
-        if fail_on_batch:
-            plan = merge_plans(plan, crash_plan(dict(fail_on_batch)))
-        self._plan = plan
-        if plan is not None and plan.batch_timeout is not None:
-            batch_timeout = min(batch_timeout, plan.batch_timeout)
+        self._plan = fault_plan
+        if fault_plan is not None and fault_plan.batch_timeout is not None:
+            batch_timeout = min(batch_timeout, fault_plan.batch_timeout)
         self.num_workers = num_workers
-        self.engine_mode = engine_mode
-        self.build_mode = build_mode
         self.compute = compute
         self.max_batch = max(1, max_batch)
         self.max_inflight = max(1, max_inflight)
@@ -524,8 +514,6 @@ class WorkerPool:
         config = WorkerConfig(
             worker_id=slot.worker_id,
             engine=slot.engine,
-            engine_mode=self.engine_mode,
-            build_mode=self.build_mode,
             compute=self.compute,
             results_path=self._shard_path(slot.worker_id),
             scenario=self.scenario,
@@ -1332,9 +1320,7 @@ class WorkerPool:
     def _inline_engine(self, name: str) -> SpMVEngine:
         engine = self._inline_engines.get(name)
         if engine is None:
-            engine = provision(
-                name, mode=self.engine_mode, build_mode=self.build_mode
-            )
+            engine = create(name)
             self._inline_engines[name] = engine
         return engine
 

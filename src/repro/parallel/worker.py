@@ -1,6 +1,6 @@
 """The engine worker process behind the wall-clock serving pool.
 
-One worker owns one provisioned :class:`~repro.backends.SpMVEngine` and
+One worker owns one :class:`~repro.backends.SpMVEngine` and
 serves batches against matrices it was handed over shared memory.  The
 protocol is deliberately small — five task tuples in, five reply tuples out —
 because everything bulky (the matrix, the preprocessed program) arrives as an
@@ -29,13 +29,11 @@ respawn count, from which the worker builds a
 :class:`~repro.resilience.WorkerFaultInjector` and honours it at three
 install points — before each registration's attach, around each execute, and
 between computing a batch and replying (the window in which a crash would
-otherwise lose work).  The legacy ``fail_on_batch`` field survives as
-shorthand for a single crash spec.
+otherwise lose work).
 """
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -43,33 +41,25 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends import DEFAULT_ENGINE, PreparedMatrix, provision
+from ..backends import DEFAULT_ENGINE, PreparedMatrix, create
 from ..spmv import spmv
 from .shm import ShmBlock, ShmDescriptor, coo_from_block, program_from_block
 
 __all__ = ["BatchResult", "WorkBatch", "WorkerConfig", "worker_main"]
 
-#: Exit code of an injected worker death (distinguishable from a crash).
-FAULT_EXIT_CODE = 13
-
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker process needs to provision and report."""
+    """Everything a worker process needs to build its engine and report."""
 
     worker_id: int
     engine: str = DEFAULT_ENGINE
-    engine_mode: Optional[str] = None
-    build_mode: Optional[str] = None
     #: "simulate" runs the engine datapath, "reference" the golden numpy
     #: kernel, "none" skips numerics (transport/scheduling overhead only).
     compute: str = "simulate"
     #: Shard results database written at ``stop`` (None = don't record).
     results_path: Optional[str] = None
     scenario: str = "adhoc"
-    #: Exit hard just before replying to this 0-based batch ordinal
-    #: (legacy shorthand for one ``crash`` fault spec).
-    fail_on_batch: Optional[int] = None
     #: Resolved ``repro.resilience`` fault specs for this worker.
     faults: Tuple[Any, ...] = ()
     #: Respawn count of this incarnation (0 = original process); the
@@ -345,9 +335,7 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
     ``tasks`` is this worker's private queue; ``results`` is the pool-wide
     reply queue (every reply is tagged with the worker id).
     """
-    engine = provision(
-        config.engine, mode=config.engine_mode, build_mode=config.build_mode
-    )
+    engine = create(config.engine)
     served: Dict[str, _Served] = {}
     totals = {
         "batches": 0.0,
@@ -478,10 +466,6 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
                     # exact window the pool's retry logic has to cover
                     # without losing or duplicating the requests.
                     send_reply = injector.before_reply(executed)
-                if config.fail_on_batch is not None and executed == config.fail_on_batch:
-                    # Legacy deterministic injected death (kept as shorthand
-                    # for a single crash fault spec).
-                    os._exit(FAULT_EXIT_CODE)
                 executed += 1
                 totals["batches"] += 1.0
                 totals["requests"] += float(len(batch))

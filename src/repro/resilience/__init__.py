@@ -1,7 +1,8 @@
 """Resilience subsystem: declarative faults, retry/breaker policies, overload.
 
-Three leaf modules (stdlib + numpy only; this package never imports other
-first-party layers, so ``parallel``/``serve``/``cli`` may reach it lazily
+Three modules on stdlib + numpy (plus the dependency-free
+:mod:`repro.tomlsubset` leaf for plan files; this package imports no other
+first-party layer, so ``parallel``/``serve``/``cli`` may reach it lazily
 without creating cycles):
 
 * :mod:`repro.resilience.faults` — typed, seeded fault plans (worker crash /
@@ -22,9 +23,7 @@ from .faults import (
     FaultSpec,
     ShmAttachFault,
     WorkerFaultInjector,
-    crash_plan,
     load_fault_plan,
-    merge_plans,
 )
 from .overload import (
     TIER_DEGRADED,
@@ -62,7 +61,5 @@ __all__ = [
     "TIER_SHEDDING",
     "WorkerFaultInjector",
     "breaker_states",
-    "crash_plan",
     "load_fault_plan",
-    "merge_plans",
 ]

@@ -41,21 +41,21 @@ so "one crash somewhere" is still the *same* crash on every run.
 The plan is injected through duck-typed install points —
 ``WorkerPool(fault_plan=...)``, ``SpMVService(fault_plan=...)`` — and the
 worker-process side is one picklable :class:`WorkerFaultInjector` built from
-the specs relevant to that worker, generalizing (and subsuming) the old
-single-purpose ``fail_on_batch`` injector.
+the specs relevant to that worker.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from ..tomlsubset import load_toml
 
 __all__ = [
     "FAULT_EXIT_CODE",
@@ -68,8 +68,6 @@ __all__ = [
 ]
 
 #: Exit code of an injected worker death, distinguishable from a real crash.
-#: Mirrors ``repro.parallel.worker.FAULT_EXIT_CODE`` (kept equal by a test;
-#: not imported so resilience stays independent of the parallel layer).
 FAULT_EXIT_CODE = 13
 
 #: Every fault kind a plan may declare.
@@ -287,63 +285,8 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Plan loading (TOML on 3.11+, a scalar-table subset below, JSON anywhere)
+# Plan loading (TOML or JSON)
 # ----------------------------------------------------------------------
-_TABLE = re.compile(r"^\[(?P<name>[^\]]+)\]$")
-_KEY_VALUE = re.compile(r"^(?P<key>[A-Za-z0-9_\-]+)\s*=\s*(?P<value>.+)$")
-
-
-def _parse_scalar(text: str) -> object:
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"unsupported TOML value in fault plan: {text!r}") from None
-
-
-def _parse_toml_subset(text: str) -> Dict[str, object]:
-    """Tables + string/bool/int/float scalars: the fault-plan TOML subset.
-
-    Python < 3.11 has no :mod:`tomllib`; plans only ever use this shape, so
-    a dependency-free parser keeps chaos runs available on every supported
-    interpreter (same approach as the analyzer's layers.toml fallback).
-    """
-    document: Dict[str, object] = {}
-    table: Dict[str, object] = document
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip() if '"' not in raw else raw.strip()
-        if '"' in raw:
-            # A '#' may live inside a quoted value; strip only a comment that
-            # follows the closing quote.
-            head, _, tail = raw.partition('"')
-            closing = tail.rfind('"')
-            comment = tail[closing + 1 :].find("#") if closing >= 0 else -1
-            if comment >= 0:
-                line = (head + '"' + tail[: closing + 1 + comment]).strip()
-        if not line:
-            continue
-        match = _TABLE.match(line)
-        if match is not None:
-            table = document
-            for part in match.group("name").split("."):
-                key = part.strip().strip('"')
-                table = table.setdefault(key, {})  # type: ignore[assignment]
-            continue
-        match = _KEY_VALUE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable fault plan line: {raw!r}")
-        table[match.group("key")] = _parse_scalar(match.group("value"))
-    return document
-
-
 def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
     """Load a fault plan from a ``.toml`` or ``.json`` file."""
     path = Path(path)
@@ -351,12 +294,7 @@ def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
         raise FileNotFoundError(f"no fault plan at {path}")
     if path.suffix.lower() == ".json":
         return FaultPlan.from_dict(json.loads(path.read_text()))
-    try:
-        import tomllib  # Python 3.11+
-    except ImportError:
-        return FaultPlan.from_dict(_parse_toml_subset(path.read_text()))
-    with open(path, "rb") as handle:
-        return FaultPlan.from_dict(tomllib.load(handle))
+    return FaultPlan.from_dict(load_toml(path))
 
 
 # ----------------------------------------------------------------------
@@ -471,48 +409,3 @@ class WorkerFaultInjector:
             self._notify(spec, ordinal)
             return False
         return True
-
-
-def crash_plan(fail_on_batch: Dict[int, int], name: str = "fail-on-batch") -> FaultPlan:
-    """The legacy ``fail_on_batch`` mapping as a fault plan.
-
-    ``{worker_id: batch_ordinal}`` becomes one ``crash`` spec per worker —
-    the exact behaviour the old hard-coded injector had, now expressed in
-    (and recoverable by) the same machinery as every other fault.
-    """
-    return FaultPlan(
-        name=name,
-        faults=tuple(
-            FaultSpec(kind="crash", worker=worker, at_batch=ordinal)
-            for worker, ordinal in sorted(fail_on_batch.items())
-        ),
-    )
-
-
-def merge_plans(*plans: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Combine plans (e.g. a file plan plus legacy ``fail_on_batch`` specs)."""
-    present = [plan for plan in plans if plan is not None and plan.faults]
-    real = [plan for plan in plans if plan is not None]
-    if not real:
-        return None
-    if len(present) <= 1:
-        base = present[0] if present else real[0]
-        timeout = next(
-            (p.batch_timeout for p in real if p.batch_timeout is not None), None
-        )
-        return replace(base, batch_timeout=timeout) if timeout is not None else base
-    faults: List[FaultSpec] = []
-    for plan in present:
-        faults.extend(plan.faults)
-    timeout = next((p.batch_timeout for p in real if p.batch_timeout is not None), None)
-    return FaultPlan(
-        name="+".join(p.name for p in present),
-        seed=present[0].seed,
-        faults=tuple(faults),
-        batch_timeout=timeout,
-    )
-
-
-def _iter_specs(specs: Iterable[FaultSpec]) -> Sequence[FaultSpec]:  # pragma: no cover
-    """Typing helper kept for API symmetry."""
-    return tuple(specs)

@@ -1,6 +1,6 @@
 """Multi-accelerator SpMV serving layer.
 
-Turns the single-accelerator, synchronous :class:`~repro.runtime.SerpensRuntime`
+Turns the single-engine, synchronous :class:`~repro.backends.Session`
 into a service: a pool of simulated Serpens devices with matrix placement
 and row-sharding, a batching scheduler with admission control, a bounded
 program cache, per-tenant/per-device telemetry, and a scenario-diverse
@@ -30,7 +30,6 @@ from .pool import (
     PooledDevice,
     RoutingHint,
     Shard,
-    as_engine,
     shard_rows,
 )
 from .scheduler import SCHEDULING_POLICIES, Request, Scheduler
@@ -57,7 +56,6 @@ __all__ = [
     "Shard",
     "SpMVService",
     "TraceRequest",
-    "as_engine",
     "generate_trace",
     "matrix_fingerprint",
     "percentile",

@@ -1,4 +1,4 @@
-"""Capacity-bounded program cache shared by the runtime and the serving layer.
+"""Capacity-bounded program cache shared by the Session and the serving layer.
 
 Preprocessing a matrix into a :class:`~repro.preprocess.SerpensProgram` costs
 seconds of host CPU time; a deployment amortises it by keeping programs
@@ -12,8 +12,8 @@ resident and reusing them across thousands of launches.  The
 * hit/miss/eviction counters, the numbers a cache-sizing exercise needs.
 
 Keys are caller-chosen strings.  A :class:`~repro.backends.Session` keys by
-the engine's ``program_key`` (bare matrix fingerprints for Serpens engines,
-preserving the historical ``SerpensRuntime`` disk layout); the
+the engine's ``program_key`` (bare matrix fingerprints for Serpens engines:
+the bare-fingerprint disk layout, one file per matrix); the
 multi-accelerator :class:`~repro.serve.service.SpMVService` appends a
 configuration tag so mixed pools never share an incompatible program.
 Payloads that are not :class:`~repro.preprocess.SerpensProgram` instances
@@ -39,8 +39,8 @@ __all__ = ["ProgramCache", "matrix_fingerprint"]
 def matrix_fingerprint(matrix: COOMatrix) -> str:
     """A stable content hash of a matrix (structure and values).
 
-    This is the canonical cache key used by both the single-accelerator
-    runtime and the serving layer.
+    This is the canonical cache key used by both the single-engine
+    :class:`~repro.backends.Session` and the serving layer.
     """
     digest = hashlib.sha256()
     digest.update(np.int64([matrix.num_rows, matrix.num_cols, matrix.nnz]).tobytes())
@@ -64,8 +64,7 @@ class ProgramCache:
         (oldest-first by modification time).
     disk_capacity:
         Maximum program files kept on disk; defaults to ``capacity``.
-        ``None`` (with ``capacity=None``) leaves the disk tier unbounded,
-        matching the historical runtime behaviour.
+        ``None`` (with ``capacity=None``) leaves the disk tier unbounded.
     """
 
     _FILE_PREFIX = "serpens_program_"
@@ -234,7 +233,7 @@ class ProgramCache:
     def _path_for(self, key: str) -> Path:
         # Percent-encoding is bijective, so distinct keys never collide on
         # one file and adoption can recover the exact key from the name.
-        # Hex fingerprints (the runtime's keys) pass through unchanged.
+        # Hex fingerprints (a Session's Serpens keys) pass through unchanged.
         return self.cache_dir / f"{self._FILE_PREFIX}{quote(key, safe='')}.npz"
 
     def _adopt_existing_files(self) -> None:

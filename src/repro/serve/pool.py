@@ -7,7 +7,7 @@ The :class:`AcceleratorPool` models that layer on top of the backend engine
 contract:
 
 * each :class:`PooledDevice` wraps one
-  :class:`~repro.backends.SpMVEngine` (provisioned through
+  :class:`~repro.backends.SpMVEngine` (created through
   ``backends.create`` when given a registry name) and tracks its own
   virtual-time availability and utilisation counters,
 * :meth:`AcceleratorPool.place` assigns a matrix to the least-loaded
@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backends import SpMVEngine, provision
+from ..backends import SpMVEngine, resolve
 from ..formats import COOMatrix
 from ..serpens import SERPENS_A16, SerpensConfig
 
@@ -35,7 +35,6 @@ __all__ = [
     "Placement",
     "RoutingHint",
     "Shard",
-    "as_engine",
     "shard_rows",
 ]
 
@@ -44,23 +43,6 @@ PLACEMENT_POLICIES = ("least_loaded", "round_robin")
 #: Anything the pool can turn into a device engine: a registry name, an
 #: engine instance, or (for backward compatibility) a Serpens build config.
 DeviceSpec = Union[str, SpMVEngine, SerpensConfig]
-
-
-def as_engine(
-    spec: DeviceSpec,
-    engine_mode: Optional[str] = None,
-    build_mode: Optional[str] = None,
-) -> SpMVEngine:
-    """Provision one device engine from a name, engine, or Serpens config.
-
-    ``engine_mode`` selects the simulator execution mode and ``build_mode``
-    the program builder for engines that have them (the Serpens simulators);
-    model-timed engines in a heterogeneous pool, whose factories take
-    neither keyword, ignore them.  Already-built engine instances are
-    returned as-is — their modes were chosen at construction.  (A thin alias
-    of :func:`repro.backends.provision`, kept for the pool's vocabulary.)
-    """
-    return provision(spec, mode=engine_mode, build_mode=build_mode)
 
 
 @dataclass
@@ -211,18 +193,12 @@ class AcceleratorPool:
         One device spec per card: a backend registry name (``"sextans"``),
         an :class:`~repro.backends.SpMVEngine` instance, or a
         :class:`SerpensConfig`.  Heterogeneous pools — A16 cards next to A24
-        cards next to a Sextans card — are expressed by mixing specs.
+        cards next to a Sextans card — are expressed by mixing specs.  An
+        engine's oracle modes are chosen where it is built, e.g.
+        ``backends.create("serpens-a16", mode="reference")``.
     placement_policy:
         ``"least_loaded"`` places on the device with the fewest resident
         non-zeros; ``"round_robin"`` cycles through devices.
-    engine_mode:
-        Optional simulator execution mode (``"fast"`` / ``"reference"``)
-        applied to every provisioned engine whose factory accepts it (see
-        :func:`as_engine`).
-    build_mode:
-        Optional program-builder mode (``"fast"`` / ``"reference"``) applied
-        with the same tolerant semantics; it selects the preprocessing
-        pipeline devices run on program-cache misses (warmup included).
     tracer:
         Optional :class:`repro.obs.Tracer` (duck-typed).  When attached,
         every placement decision emits an instant marker on the
@@ -234,8 +210,6 @@ class AcceleratorPool:
         self,
         configs: Sequence[DeviceSpec],
         placement_policy: str = "least_loaded",
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
         tracer=None,
     ) -> None:
         if not configs:
@@ -246,14 +220,9 @@ class AcceleratorPool:
                 f"use one of {PLACEMENT_POLICIES}"
             )
         self.placement_policy = placement_policy
-        self.engine_mode = engine_mode
-        self.build_mode = build_mode
         self.tracer = tracer
         self.devices: List[PooledDevice] = [
-            PooledDevice(
-                device_id=i,
-                engine=as_engine(spec, engine_mode=engine_mode, build_mode=build_mode),
-            )
+            PooledDevice(device_id=i, engine=resolve(spec))
             for i, spec in enumerate(configs)
         ]
         self._round_robin_next = 0
@@ -264,20 +233,13 @@ class AcceleratorPool:
         num_devices: int,
         config: DeviceSpec = SERPENS_A16,
         placement_policy: str = "least_loaded",
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
     ) -> "AcceleratorPool":
         """A pool of ``num_devices`` identical cards.
 
-        A registry-name ``config`` is provisioned once per device (each card
+        A registry-name ``config`` is created once per device (each card
         gets its own engine instance).
         """
-        return cls(
-            [config] * num_devices,
-            placement_policy=placement_policy,
-            engine_mode=engine_mode,
-            build_mode=build_mode,
-        )
+        return cls([config] * num_devices, placement_policy=placement_policy)
 
     # ------------------------------------------------------------------
     # Device access

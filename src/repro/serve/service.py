@@ -179,14 +179,6 @@ class SpMVService:
     preprocess_mnnz_per_second:
         Host preprocessing throughput (in millions of non-zeros per
         second) charged when a dispatch misses the program cache.
-    engine_mode:
-        Optional simulator execution mode (``"fast"`` / ``"reference"``)
-        forwarded to the shortcut pool construction; ignored when an
-        explicit ``pool`` is given (its devices are already built).
-    build_mode:
-        Optional program-builder mode (``"fast"`` / ``"reference"``)
-        forwarded the same way; it selects the preprocessing pipeline
-        cache-missing dispatches run on the host.
     router:
         Optional :class:`~repro.autotune.EngineRouter`.  When given, every
         registration is routed — placement prefers devices of the predicted
@@ -232,8 +224,6 @@ class SpMVService:
         pool: Optional[AcceleratorPool] = None,
         num_devices: int = 4,
         config: DeviceSpec = SERPENS_A16,
-        engine_mode: Optional[str] = None,
-        build_mode: Optional[str] = None,
         policy: str = "fifo",
         max_batch: int = 32,
         max_queue_depth: Optional[int] = None,
@@ -262,7 +252,7 @@ class SpMVService:
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
         self.pool = pool if pool is not None else AcceleratorPool.homogeneous(
-            num_devices, config, engine_mode=engine_mode, build_mode=build_mode
+            num_devices, config
         )
         if tracer is not None and self.pool.tracer is None:
             self.pool.tracer = tracer

@@ -21,7 +21,7 @@ from repro.analysis import (
     load_config,
     run_rules,
 )
-from repro.analysis.config import _parse_toml_subset
+from repro.tomlsubset import parse_toml_subset
 from repro.cli import main
 
 
@@ -298,10 +298,13 @@ class TestLintRules:
 
 class TestConfig:
     def test_fallback_parser_matches_tomllib_on_the_committed_file(self):
+        # Both committed TOML files: the layer contract and the chaos plan.
         tomllib = pytest.importorskip("tomllib")
-        config = load_config()
-        text = config.path.read_text()
-        assert _parse_toml_subset(text) == tomllib.loads(text)
+        layers = load_config().path
+        plan = layers.parents[1] / "benchmarks" / "faults_standard.toml"
+        for path in (layers, plan):
+            text = path.read_text()
+            assert parse_toml_subset(text) == tomllib.loads(text), path
 
     def test_committed_config_declares_the_load_bearing_absences(self):
         config = load_config()

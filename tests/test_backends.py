@@ -107,7 +107,7 @@ class TestRegistry:
         engine = SerpensEngine(small_serpens_config())
         assert backends.resolve(engine) is engine
         assert isinstance(backends.resolve("graphlily"), backends.GraphLilyEngine)
-        # A bare SerpensConfig mirrors the SerpensRuntime(config=...) migration.
+        # A bare SerpensConfig builds a SerpensEngine on that config.
         config = small_serpens_config()
         resolved = backends.resolve(config)
         assert isinstance(resolved, SerpensEngine)
@@ -119,33 +119,10 @@ class TestRegistry:
         with pytest.raises(TypeError):
             backends.resolve(42)
 
-    def test_resolve_forwards_engine_kwargs(self):
-        engine = backends.resolve("serpens-a16", mode="reference")
-        assert engine.mode == "reference"
-        assert engine.accelerator.mode == "reference"
-        config = small_serpens_config()
-        from_config = backends.resolve(config, mode="reference")
-        assert from_config.mode == "reference"
-        # Overrides cannot retrofit an already-built instance.
-        with pytest.raises(ValueError, match="already-constructed"):
-            backends.resolve(SerpensEngine(config), mode="reference")
-
     def test_create_forwards_mode_to_serpens_factories(self):
         assert backends.create("serpens-a16", mode="reference").mode == "reference"
         assert backends.create("serpens-a24", mode="reference").mode == "reference"
         assert backends.create("serpens-a16").mode == "fast"
-
-    def test_provision_applies_mode_only_where_supported(self):
-        # The tolerant spec->engine path Session and the pool share.
-        assert backends.provision("serpens-a16", mode="reference").mode == "reference"
-        assert not hasattr(backends.provision("sextans", mode="reference"), "mode")
-        instance = SerpensEngine(small_serpens_config())
-        assert backends.provision(instance, mode="reference") is instance
-        assert instance.mode == "fast"
-        assert backends.factory_accepts("serpens-a16", "mode")
-        assert not backends.factory_accepts("sextans", "mode")
-        with pytest.raises(KeyError):
-            backends.provision("no-such-engine", mode="reference")
 
     def test_custom_engine_is_a_one_file_change(self):
         class NullEngine(SpMVEngine):
@@ -414,24 +391,18 @@ class TestHeterogeneousPool:
             pool.place(too_tall, "fp2")
 
     def test_engine_mode_threads_through_pool_and_session(self):
-        # Serpens engines take the mode; model-timed engines in the same
-        # heterogeneous pool have no mode and must simply ignore it.
+        # The oracle is chosen where the engine is built; pools and sessions
+        # take the built engine as it is, next to mode-less model engines.
         pool = AcceleratorPool(
-            ["serpens-a16", "sextans"], engine_mode="reference"
+            [backends.create("serpens-a16", mode="reference"), "sextans"]
         )
         assert pool.device(0).engine.mode == "reference"
         assert not hasattr(pool.device(1).engine, "mode")
-        homogeneous = AcceleratorPool.homogeneous(
-            2, "serpens-a16", engine_mode="reference"
-        )
-        assert all(d.engine.mode == "reference" for d in homogeneous.devices)
         matrix = random_uniform(30, 30, 120, seed=30)
-        reference_session = Session(small_serpens_config(), engine_mode="reference")
-        assert reference_session.engine.mode == "reference"
-        # Same tolerant semantics as the pool: a mode-less engine ignores it.
-        assert not hasattr(
-            Session("sextans", engine_mode="reference").engine, "mode"
+        reference_session = Session(
+            SerpensEngine(small_serpens_config(), mode="reference")
         )
+        assert reference_session.engine.mode == "reference"
         fast_session = Session(small_serpens_config())
         assert fast_session.engine.mode == "fast"
         y_reference, __ = reference_session.launch(

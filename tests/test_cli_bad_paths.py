@@ -1,0 +1,46 @@
+"""Bad paths and fault plans end in one line and exit code 2, before any run."""
+
+import pytest
+
+from repro import cli
+
+CASES = {
+    "events-dir": ["serve-bench", "--wall-clock", "--events", "{missing}/run"],
+    "plan-missing": ["serve-bench", "--fault-plan", "{missing}.toml"],
+    "plan-syntax": ["serve-bench", "--fault-plan", "{bad_syntax}"],
+    "plan-kind": ["serve-bench", "--fault-plan", "{unknown_kind}"],
+    "trace-dir": ["serve-bench", "--trace", "{missing}/t.json"],
+    "results-db-dir": ["serve-bench", "--results-db", "{missing}/x.sqlite"],
+    "emit-bench-dir": ["serve-bench", "--emit-bench", "{missing}/b.json"],
+    "output-dir": ["table1", "--output", "{missing}/out.txt"],
+    "update-baseline-dir": [
+        "results", "gate", "--update-baseline", "--baseline", "{missing}/b.json"
+    ],
+    "gate-baseline": ["results", "gate", "--baseline", "{missing}.json"],
+    "list-results-db": ["results", "list", "--results-db", "{missing}/x.sqlite"],
+}
+
+
+@pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
+def test_bad_path_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    bad_syntax = tmp_path / "syntax.toml"
+    bad_syntax.write_text('[plan\nname = "broken"\n')
+    unknown_kind = tmp_path / "kind.toml"
+    unknown_kind.write_text('[fault.f]\nkind = "meteor"\n')
+    paths = {
+        "missing": str(tmp_path / "missing" / "dir"),
+        "bad_syntax": str(bad_syntax),
+        "unknown_kind": str(unknown_kind),
+    }
+
+    def no_serving(*args, **kwargs):
+        raise AssertionError("serving work started despite a bad path")
+
+    monkeypatch.setattr(cli, "_serve_bench_payload", no_serving)
+    code = cli.main([arg.format(**paths) for arg in argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == ""
+    lines = out.out.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(argv[-2])

@@ -11,6 +11,7 @@ import pytest
 
 from repro.obs import ResultsStore
 from repro.parallel import WorkerPool
+from repro.resilience import FaultPlan, FaultSpec
 from repro.serve import SpMVService, generate_trace
 from repro.spmv import spmv
 
@@ -86,10 +87,13 @@ class TestFaultInjection:
         """
         trace = small_trace()
         golden = golden_ys(trace)
+        crash = FaultPlan(
+            name="crash", faults=(FaultSpec(kind="crash", worker=0, at_batch=0),)
+        )
         with WorkerPool(
             num_workers=2,
             compute="simulate",
-            fail_on_batch={0: 0},
+            fault_plan=crash,
             batch_timeout=15.0,
         ) as pool:
             report = pool.run_trace(trace)

@@ -5,8 +5,8 @@ the per-element reference pipeline: identical encoded words, identical lane
 schedules (slot order and padding bubbles), identical reorder statistics and
 identical packed columnar arrays.  These tests prove that contract across
 the generator suite, the ablation configurations and a Hypothesis property
-sweep, and cover the bulk codecs plus the build-mode threading through the
-session/serving stack.
+sweep, and cover the bulk codecs plus the build mode the accelerator takes
+at construction.
 """
 
 import numpy as np
@@ -398,7 +398,7 @@ class TestBuildModeThreading:
     def test_session_records_prepare_seconds(self):
         from repro.backends import Session
 
-        session = Session(small_config(), build_mode="fast")
+        session = Session(small_config())
         matrix = random_uniform(60, 60, 300, seed=11)
         handle = session.register(matrix, "m")
         stats = session.statistics(handle)
@@ -407,22 +407,6 @@ class TestBuildModeThreading:
         # re-registering the same content must not add prepare time
         session.register(matrix, "m")
         assert session.statistics(handle)["prepare_seconds"] == stats["prepare_seconds"]
-
-    def test_session_build_mode_tolerated_by_modeless_engines(self):
-        from repro.backends import Session
-
-        session = Session("cpu", build_mode="reference")
-        matrix = random_uniform(40, 40, 200, seed=12)
-        handle = session.register(matrix, "m")
-        y, __ = session.launch(handle, np.ones(40))
-        assert y.shape == (40,)
-
-    def test_pool_threads_build_mode(self):
-        from repro.serve import AcceleratorPool
-
-        pool = AcceleratorPool([small_config()], build_mode="reference")
-        assert pool.devices[0].engine.build_mode == "reference"
-        assert pool.build_mode == "reference"
 
     def test_service_surfaces_prepare_telemetry(self):
         from repro.serve import SpMVService
@@ -443,9 +427,3 @@ class TestBuildModeThreading:
         service.submit(handle, np.ones(60))
         second = service.drain()
         assert second.telemetry.prepare_count == 0
-
-    def test_cli_build_mode_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["serve-bench", "--build-mode", "reference"])
-        assert args.build_mode == "reference"

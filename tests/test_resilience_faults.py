@@ -12,11 +12,9 @@ from repro.resilience.faults import (
     FaultSpec,
     ShmAttachFault,
     WorkerFaultInjector,
-    _parse_toml_subset,
-    crash_plan,
     load_fault_plan,
-    merge_plans,
 )
+from repro.tomlsubset import parse_toml_subset
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 STANDARD_PLAN = REPO_ROOT / "benchmarks" / "faults_standard.toml"
@@ -28,6 +26,7 @@ STANDARD_PLAN = REPO_ROOT / "benchmarks" / "faults_standard.toml"
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown fault kind"):
         FaultSpec(kind="meteor")
+    assert "misestimate" in FAULT_KINDS
 
 
 def test_spec_validation():
@@ -154,12 +153,12 @@ def test_load_standard_plan_from_benchmarks():
 def test_toml_subset_parser_matches_standard_plan():
     # Whatever parser load_fault_plan picked, the dependency-free subset
     # parser must read the committed plan identically.
-    parsed = FaultPlan.from_dict(_parse_toml_subset(STANDARD_PLAN.read_text()))
+    parsed = FaultPlan.from_dict(parse_toml_subset(STANDARD_PLAN.read_text()))
     assert parsed == load_fault_plan(STANDARD_PLAN)
 
 
 def test_toml_subset_parser_scalars_and_comments():
-    doc = _parse_toml_subset(
+    doc = parse_toml_subset(
         '\n'.join(
             [
                 "[plan]",
@@ -175,9 +174,9 @@ def test_toml_subset_parser_scalars_and_comments():
     assert doc["plan"] == {"name": "has # hash", "seed": 7}
     assert doc["fault"]["f"] == {"kind": "slow", "factor": 1.25, "on_respawn": True}
     with pytest.raises(ValueError, match="unsupported TOML value"):
-        _parse_toml_subset("x = [1, 2]")
+        parse_toml_subset("x = { a = 1 }")
     with pytest.raises(ValueError, match="unparseable"):
-        _parse_toml_subset("not a key value line")
+        parse_toml_subset("not a key value line")
 
 
 def test_load_json_plan(tmp_path):
@@ -260,35 +259,3 @@ def test_injector_crash_calls_exit(monkeypatch):
     inj.before_reply(3)
     inj.on_register(1)
     assert codes == [FAULT_EXIT_CODE, FAULT_EXIT_CODE]
-
-
-def test_fault_exit_code_matches_worker_constant():
-    from repro.parallel import worker
-
-    assert FAULT_EXIT_CODE == worker.FAULT_EXIT_CODE
-
-
-# ----------------------------------------------------------------------
-# Legacy bridge + merging
-# ----------------------------------------------------------------------
-def test_crash_plan_translates_fail_on_batch():
-    plan = crash_plan({1: 4, 0: 2})
-    assert [(s.worker, s.at_batch) for s in plan.faults] == [(0, 2), (1, 4)]
-    assert all(s.kind == "crash" for s in plan.faults)
-
-
-def test_merge_plans():
-    assert merge_plans(None, None) is None
-    base = FaultPlan(name="file", faults=(FaultSpec(kind="crash", worker=0, at_batch=1),))
-    legacy = crash_plan({1: 0})
-    merged = merge_plans(base, legacy)
-    assert merged is not None
-    assert len(merged.faults) == 2
-    assert merged.name == "file+fail-on-batch"
-    # A batch_timeout survives merging even when it rides on an empty plan.
-    timeout_only = FaultPlan(name="t", batch_timeout=0.75)
-    merged = merge_plans(timeout_only, legacy)
-    assert merged is not None
-    assert merged.batch_timeout == pytest.approx(0.75)
-    assert len(merged.faults) == 1
-    assert "misestimate" in FAULT_KINDS

@@ -1,11 +1,12 @@
-"""Tests for the host runtime (program caching, launches) and SpMM-via-SpMV."""
+"""Tests for the host Session on one Serpens build (program caching, launches)
+and SpMM-via-SpMV."""
 
 import numpy as np
 import pytest
 
 from repro.apps import conjugate_gradient
 from repro.generators import laplacian_2d, random_uniform
-from repro.runtime import SerpensRuntime
+from repro.backends import Session
 from repro.serpens import SerpensAccelerator, SerpensConfig
 from repro.serpens.spmm import estimate_spmm, spmm_via_spmv
 from repro.spmv import spmv
@@ -72,8 +73,10 @@ class TestSpMMViaSpMV:
 
 
 class TestSerpensRuntime:
+    """A Session on one Serpens config: the single-accelerator host runtime."""
+
     def test_register_and_launch(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         matrix = random_uniform(200, 180, 2000, seed=7)
         handle = runtime.register(matrix, name="demo")
         assert handle.nnz == matrix.nnz
@@ -84,7 +87,7 @@ class TestSerpensRuntime:
         assert report.matrix_name == "demo"
 
     def test_duplicate_registration_same_name_returns_same_handle(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         matrix = random_uniform(100, 100, 600, seed=9)
         h1 = runtime.register(matrix, name="a")
         h2 = runtime.register(matrix.copy(), name="a")
@@ -92,7 +95,7 @@ class TestSerpensRuntime:
         assert len(runtime.registered_handles) == 1
 
     def test_duplicate_registration_new_name_records_alias(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         matrix = random_uniform(100, 100, 600, seed=9)
         h1 = runtime.register(matrix, name="a")
         h2 = runtime.register(matrix.copy(), name="b")
@@ -115,7 +118,7 @@ class TestSerpensRuntime:
         assert report_b.matrix_name == "b"
 
     def test_statistics_accumulate(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         matrix = random_uniform(120, 120, 900, seed=10)
         handle = runtime.register(matrix)
         x = np.ones(120)
@@ -128,14 +131,14 @@ class TestSerpensRuntime:
         assert runtime.statistics()["registered_matrices"] == 1
 
     def test_capacity_check_on_register(self):
-        runtime = SerpensRuntime(config=small_config(uram_depth=8))
+        runtime = Session(small_config(uram_depth=8))
         matrix = random_uniform(10_000, 16, 100, seed=11)
         with pytest.raises(ValueError):
             runtime.register(matrix)
 
     def test_unknown_handle_rejected(self):
-        runtime_a = SerpensRuntime(config=small_config())
-        runtime_b = SerpensRuntime(config=small_config())
+        runtime_a = Session(small_config())
+        runtime_b = Session(small_config())
         matrix = random_uniform(50, 50, 200, seed=12)
         handle = runtime_a.register(matrix)
         with pytest.raises(KeyError):
@@ -143,14 +146,14 @@ class TestSerpensRuntime:
 
     def test_disk_cache_roundtrip(self, tmp_path):
         matrix = random_uniform(150, 150, 1200, seed=13)
-        first = SerpensRuntime(config=small_config(), cache_dir=tmp_path)
+        first = Session(small_config(), cache_dir=tmp_path)
         first.register(matrix, name="cached")
         cached_files = list(tmp_path.glob("serpens_program_*.npz"))
         assert len(cached_files) == 1
 
         # A fresh runtime picks the program up from disk and still computes
         # the correct result.
-        second = SerpensRuntime(config=small_config(), cache_dir=tmp_path)
+        second = Session(small_config(), cache_dir=tmp_path)
         handle = second.register(matrix, name="cached")
         x = np.random.default_rng(14).uniform(-1, 1, 150)
         y, __ = second.launch(handle, x)
@@ -158,23 +161,21 @@ class TestSerpensRuntime:
 
     def test_cache_ignored_for_different_configuration(self, tmp_path):
         matrix = random_uniform(100, 100, 700, seed=15)
-        SerpensRuntime(config=small_config(), cache_dir=tmp_path).register(matrix)
-        other = SerpensRuntime(
-            config=small_config(segment_width=64), cache_dir=tmp_path
-        )
+        Session(small_config(), cache_dir=tmp_path).register(matrix)
+        other = Session(small_config(segment_width=64), cache_dir=tmp_path)
         handle = other.register(matrix)
         y, __ = other.launch(handle, np.ones(100))
         np.testing.assert_allclose(y, spmv(matrix, np.ones(100)), rtol=1e-4, atol=1e-5)
 
     def test_estimate_through_runtime(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         matrix = random_uniform(300, 300, 3000, seed=16)
         handle = runtime.register(matrix)
         report = runtime.estimate(handle)
         assert report.cycles > 0
 
     def test_spmv_callable_plugs_into_solvers(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         a = laplacian_2d(10, 10)
         handle = runtime.register(a, name="laplacian")
         b = np.ones(a.num_rows)
@@ -184,7 +185,7 @@ class TestSerpensRuntime:
         assert runtime.statistics(handle)["launches"] == result.spmv_calls
 
     def test_spmv_callable_rejects_other_matrices(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         a = random_uniform(60, 60, 300, seed=17)
         other = random_uniform(60, 60, 300, seed=18)
         hook = runtime.spmv_callable(runtime.register(a))
@@ -194,14 +195,14 @@ class TestSerpensRuntime:
     def test_spmv_callable_accepts_equal_content(self):
         # An equal-content copy (different object, same fingerprint) passes
         # the bound-matrix check and launches.
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         a = random_uniform(60, 60, 300, seed=17)
         hook = runtime.spmv_callable(runtime.register(a))
         y = hook(a.copy(), np.ones(60), None, 1.0, 0.0)
         np.testing.assert_allclose(y, spmv(a, np.ones(60)), rtol=1e-4, atol=1e-5)
 
     def test_statistics_aggregate_per_matrix_and_session(self):
-        runtime = SerpensRuntime(config=small_config())
+        runtime = Session(small_config())
         a = random_uniform(80, 80, 400, seed=19)
         b = random_uniform(90, 90, 500, seed=20)
         ha = runtime.register(a, name="a")
@@ -223,7 +224,3 @@ class TestSerpensRuntime:
         assert overall["accelerator_seconds"] == pytest.approx(
             stats_a["accelerator_seconds"] + stats_b["accelerator_seconds"]
         )
-
-    def test_runtime_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="SerpensRuntime is deprecated"):
-            SerpensRuntime(config=small_config())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.generators import random_uniform
-from repro.runtime import SerpensRuntime
+from repro.backends import Session
 from repro.serpens import SerpensConfig
 from repro.serve import ProgramCache, matrix_fingerprint
 from repro.spmv import spmv
@@ -190,11 +190,11 @@ class TestRuntimeIntegration:
         """A fresh runtime must load the persisted program by fingerprint
         instead of re-running preprocessing."""
         matrix = random_uniform(150, 150, 1200, seed=40)
-        first = SerpensRuntime(config=small_config(), cache_dir=tmp_path)
+        first = Session(small_config(), cache_dir=tmp_path)
         first.register(matrix, name="cached")
         assert len(list(tmp_path.glob("serpens_program_*.npz"))) == 1
 
-        second = SerpensRuntime(config=small_config(), cache_dir=tmp_path)
+        second = Session(small_config(), cache_dir=tmp_path)
 
         def fail_preprocess(matrix):
             raise AssertionError("preprocessing ran despite a warm disk cache")
@@ -209,9 +209,7 @@ class TestRuntimeIntegration:
         np.testing.assert_allclose(y, spmv(matrix, x), rtol=1e-4, atol=1e-5)
 
     def test_disk_cache_no_longer_grows_without_bound(self, tmp_path):
-        runtime = SerpensRuntime(
-            config=small_config(), cache_dir=tmp_path, cache_capacity=2
-        )
+        runtime = Session(small_config(), cache_dir=tmp_path, cache_capacity=2)
         for i in range(5):
             runtime.register(random_uniform(60, 60, 300, seed=50 + i), name=f"m{i}")
         assert len(list(tmp_path.glob("serpens_program_*.npz"))) == 2
@@ -219,7 +217,7 @@ class TestRuntimeIntegration:
         assert runtime.cache_stats()["evictions"] == 3
 
     def test_eviction_does_not_break_registered_launches(self, tmp_path):
-        runtime = SerpensRuntime(config=small_config(), cache_capacity=1)
+        runtime = Session(small_config(), cache_capacity=1)
         a = random_uniform(80, 80, 500, seed=60)
         b = random_uniform(80, 80, 500, seed=61)
         ha = runtime.register(a, name="a")
@@ -230,8 +228,8 @@ class TestRuntimeIntegration:
     def test_shared_cache_between_runtimes(self):
         shared = ProgramCache(capacity=8)
         matrix = random_uniform(70, 70, 400, seed=62)
-        first = SerpensRuntime(config=small_config(), program_cache=shared)
-        second = SerpensRuntime(config=small_config(), program_cache=shared)
+        first = Session(small_config(), program_cache=shared)
+        second = Session(small_config(), program_cache=shared)
         first.register(matrix)
         second.register(matrix)
         assert shared.hits == 1  # second runtime reused the first's program
@@ -239,4 +237,4 @@ class TestRuntimeIntegration:
 
     def test_fingerprint_delegates_to_shared_helper(self):
         matrix = random_uniform(30, 30, 100, seed=63)
-        assert SerpensRuntime.fingerprint(matrix) == matrix_fingerprint(matrix)
+        assert Session.fingerprint(matrix) == matrix_fingerprint(matrix)

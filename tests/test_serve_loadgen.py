@@ -114,19 +114,6 @@ class TestServeBenchCLI:
         assert "p99 ms" in out
         assert "cache hit %" in out
 
-    def test_sim_mode_flag_builds_matching_pool(self):
-        from repro.cli import build_parser
-        from repro.serve import AcceleratorPool
-
-        parser = build_parser()
-        args = parser.parse_args(["serve-bench", "--sim-mode", "reference"])
-        assert args.sim_mode == "reference"
-        # The flag reaches the provisioned Serpens engines.
-        pool = AcceleratorPool(["serpens-a16"], engine_mode=args.sim_mode)
-        assert pool.device(0).engine.mode == "reference"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve-bench", "--sim-mode", "warp"])
-
 
 class TestShardedTraces:
     def test_shards_are_reproducible_and_independent(self):

@@ -237,11 +237,11 @@ class TestTelemetryAndDeterminism:
         assert "Per-device utilisation" in rendered
 
     def test_shared_cache_with_runtime(self):
-        from repro.runtime import SerpensRuntime
+        from repro.backends import Session
 
         shared = ProgramCache(capacity=8)
         config = small_config()
-        runtime = SerpensRuntime(config=config, program_cache=shared)
+        runtime = Session(config, program_cache=shared)
         matrix = random_uniform(90, 90, 500, seed=17)
         runtime.register(matrix)
         service = SpMVService(
