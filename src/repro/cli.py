@@ -1285,16 +1285,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad_path(args: argparse.Namespace) -> Optional[str]:
-    """A one-line error for a path or fault plan that cannot work, else None.
+def _bad_input(args: argparse.Namespace) -> Optional[str]:
+    """A one-line error for a path, fault plan or flag value that cannot work.
 
     Checked before any experiment or serving run starts, so a typo costs no
     run and prints no traceback: ``main`` exits 2 on it, the contract
-    ``analyze --layers`` and ``results merge --source`` follow.
+    ``analyze --layers`` and ``results merge --source`` follow.  Returns
+    None when everything can work.
     """
     command = args.experiment
     serving = command in ("serve-bench", "all")
     gate = command == "results" and args.subcommand == "gate"
+    if serving:
+        deadline = args.deadline_ms
+        flags = [
+            ("--requests", args.requests, args.requests >= 1, "at least 1"),
+            ("--max-batch", args.max_batch, args.max_batch >= 1, "at least 1"),
+            ("--workers", args.workers, args.workers >= 0, "at least 0 (0 serves inline)"),
+            ("--arrival-scale", args.arrival_scale, args.arrival_scale > 0, "positive"),
+            ("--deadline-ms", deadline, deadline is None or deadline > 0, "positive"),
+        ]
+        if not args.engines:
+            flags.append(("--devices", args.devices, args.devices >= 1, "at least 1"))
+        for flag, value, ok, need in flags:
+            if not ok:
+                return f"{flag} {value}: must be {need}"
     written = [("--output", args.output)]
     if serving or command in ("tune", "results"):
         written.append(("--results-db", args.results_db))
@@ -1327,7 +1342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _bad_path(args)
+    problem = _bad_input(args)
     if problem is not None:
         print(problem)
         return 2

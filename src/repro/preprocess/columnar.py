@@ -26,7 +26,7 @@ bit-identical to the reference model's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 import numpy as np
 
@@ -163,9 +163,12 @@ class ColumnarProgram:
 
     ``validation_cache`` memoises the simulator's hazard-scan / address-check
     verdict (total hazard violations) per simulator
-    :class:`~repro.preprocess.PartitionParams`, so repeated launches of a
-    warm program skip the per-run validation pass; it is bookkeeping, not
-    identity, and is excluded from equality.
+    :class:`~repro.preprocess.PartitionParams`, and ``launch_plans`` the
+    fast engine's launch plan of a hazard-free program per simulator params
+    (issue-ordered int32 global rows and columns, fp32 values and the
+    launch's x-independent report), so repeated launches of a warm program
+    skip validation and pay only their numerics.  Both are bookkeeping, not
+    identity, and are excluded from equality.
     """
 
     params: PartitionParams
@@ -174,6 +177,9 @@ class ColumnarProgram:
     nnz: int
     segments: List[ColumnarSegment]
     validation_cache: Dict[PartitionParams, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    launch_plans: Dict[PartitionParams, Any] = field(
         default_factory=dict, compare=False, repr=False
     )
 

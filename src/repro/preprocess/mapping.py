@@ -135,17 +135,20 @@ def local_to_global_row(
     """Invert :func:`map_rows`: recover global rows from (PE, local row).
 
     Used by the CompY / write-back stage of the simulator and by tests that
-    assert the mapping is a bijection over the row range.
+    assert the mapping is a bijection over the row range.  Computes in the
+    inputs' integer dtype, so the simulator's int32 element streams map
+    without widening; a build with more rows than int32 holds widens to
+    int64.
     """
-    pe = np.asarray(pe, dtype=np.int64)
-    local_row = np.asarray(local_row, dtype=np.int64)
+    pe = np.asarray(pe)
+    local_row = np.asarray(local_row)
+    if params.max_rows > np.iinfo(np.int32).max:
+        pe, local_row = pe.astype(np.int64), local_row.astype(np.int64)
     total_pes = params.total_pes
 
     if params.coalesce_rows:
-        uram_entry = local_row // 2
-        half = local_row % 2
-        pair = uram_entry * total_pes + pe
-        return pair * 2 + half
+        # pair = (local_row // 2) * total_pes + pe, then 2 * pair + local_row % 2
+        return (local_row >> 1) * (2 * total_pes) + (pe << 1) + (local_row & 1)
     return local_row * total_pes + pe
 
 

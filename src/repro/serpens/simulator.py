@@ -20,24 +20,31 @@ window or touches off-chip memory randomly.
 
 Two execution modes produce that result:
 
-* ``mode="fast"`` (default) runs the columnar engine: each segment's lane
-  streams are decoded once into packed NumPy arrays
-  (:meth:`~repro.preprocess.SerpensProgram.columnar`), the fp32 multiplies
-  and accumulations are vectorised (``np.add.at`` preserves the per-row
-  accumulation order, so the numerics are bit-identical to the per-element
-  model), and the hazard window is checked with a sorted per-URAM-entry
-  issue-cycle scan instead of per-element dict tracking.
+* ``mode="fast"`` (default) runs a *launch plan*.  A program's first fast
+  launch on a build makes one vectorised pass over its packed columnar
+  streams (:meth:`~repro.preprocess.SerpensProgram.columnar`): it checks
+  every address, scans the hazard window with a sorted per-URAM-entry
+  issue-cycle scan, and compiles the program into issue-ordered
+  (global row, global column, fp32 value) triples plus the launch's
+  x-independent report (cycles, traffic, utilisation).  The plan is cached
+  on the columnar program per simulator build, so every later launch is one
+  fp32 multiply and one ``np.add.at`` into a ``num_rows``-long fp32
+  accumulator.  ``np.add.at`` applies repeated indices in array order, which
+  is each accumulator's issue order, so the numerics are bit-identical to
+  the per-element model.
 * ``mode="reference"`` replays every encoded element through the
   :class:`~repro.serpens.pe.ProcessingEngine` datapath model.  It is orders
   of magnitude slower and exists as the verification oracle the fast path is
   proven against (and as the only engine that can *emulate* broken hardware:
   with ``strict_hazard_check=False`` a hazardful stream needs element-by-
   element stale-read modelling, so the fast path delegates that case to it).
+  Only this engine drives the PE array, so only it builds one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,6 +52,7 @@ import numpy as np
 from ..formats import COOMatrix
 from ..hbm import BoardMemorySystem, FLOATS_PER_WORD
 from ..preprocess import (
+    ColumnarProgram,
     ColumnarSegment,
     PartitionParams,
     SerpensProgram,
@@ -103,16 +111,31 @@ class SimulationResult:
         return self.cycles.total
 
 
-@dataclass
-class _Phase1Outcome:
-    """What either execution engine hands back from the compute phase."""
+@dataclass(frozen=True)
+class _LaunchPlan:
+    """A hazard-free program compiled for one simulator build.
 
-    accumulated: np.ndarray
-    x_stream_cycles: int
-    compute_cycles: int
-    lane_slots: np.ndarray
-    lane_real: np.ndarray
-    hazard_violations: int
+    ``rows``, ``cols`` and ``values`` hold every element that lands in the
+    output, in issue order: int32 global output rows (mapped through the
+    simulator's build), int32 global x columns and fp32 matrix values — at
+    most 12 bytes per non-zero, since a one-segment program's values are
+    the program's own array.  ``report`` is the launch's x-independent
+    result (cycles, traffic, utilisation) with an empty ``y``.
+    """
+
+    num_rows: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    report: SimulationResult
+
+    def accumulate(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` with the datapath's fp32 products and accumulation order."""
+        accumulator = np.zeros(self.num_rows, dtype=np.float32)
+        np.add.at(accumulator, self.rows, self.values * x.astype(np.float32)[self.cols])
+        # repro: ignore[RPR201] fp32 accumulation is already complete; the
+        # widening here is the float64 output ABI shared with the oracle.
+        return accumulator.astype(np.float64)
 
 
 class SerpensSimulator:
@@ -127,7 +150,7 @@ class SerpensSimulator:
         window raises; when False the violation is counted and the broken
         hardware behaviour is emulated (the ablation configuration).
     mode:
-        ``"fast"`` (default) runs the vectorised columnar engine,
+        ``"fast"`` (default) runs the vectorised launch plan,
         ``"reference"`` the per-element datapath model.  Both produce
         bit-identical fp32 results, cycle breakdowns and traffic.
     """
@@ -146,13 +169,13 @@ class SerpensSimulator:
         self.params: PartitionParams = config.to_partition_params()
         self.strict_hazard_check = strict_hazard_check
         self.mode = mode
-        self.memory = self._build_memory_system()
-        self.pes = self._build_pes()
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction (on first use: a warm fast launch needs neither)
     # ------------------------------------------------------------------
-    def _build_memory_system(self) -> BoardMemorySystem:
+    @cached_property
+    def memory(self) -> BoardMemorySystem:
+        """The board's channels, traffic-accounted by reference runs and plan compiles."""
         memory = BoardMemorySystem()
         memory.allocate("sparse_A", self.config.num_sparse_channels, kind="hbm")
         memory.allocate("dense_x", 1, kind="hbm")
@@ -160,7 +183,9 @@ class SerpensSimulator:
         memory.allocate("dense_y_out", 1, kind="hbm")
         return memory
 
-    def _build_pes(self) -> List[ProcessingEngine]:
+    @cached_property
+    def pes(self) -> List[ProcessingEngine]:
+        """The PE array the reference engine drives."""
         entries = self.params.urams_per_pe * self.params.uram_depth
         return [
             ProcessingEngine(
@@ -201,6 +226,7 @@ class SerpensSimulator:
                 "run() expects a SerpensProgram or a COOMatrix, got "
                 f"{type(program_or_matrix).__name__}"
             )
+        self._check_build(program.params)
 
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (program.num_cols,):
@@ -212,58 +238,86 @@ class SerpensSimulator:
             if y_in.shape != (program.num_rows,):
                 raise ValueError(f"y must have length {program.num_rows}, got {y_in.shape}")
 
-        self.memory.reset_traffic()
-        for pe in self.pes:
-            pe.reset_accumulator()
-
-        x_channel = self.memory.allocation("dense_x")[0]
-        y_in_channel = self.memory.allocation("dense_y_in")[0]
-        y_out_channel = self.memory.allocation("dense_y_out")[0]
-        sparse_channels = self.memory.allocation("sparse_A")
-
-        # --------------------------------------------------------------
-        # Phase 1: per-segment x streaming and sparse computation.
-        # --------------------------------------------------------------
-        if self.mode == "fast":
-            phase1 = self._phase1_fast(program, x, x_channel, sparse_channels)
-        else:
-            phase1 = self._phase1_reference(program, x, x_channel, sparse_channels)
-
-        # --------------------------------------------------------------
-        # Phase 2: drain accumulators through CompY and write y.
-        # --------------------------------------------------------------
-        y_out = alpha * phase1.accumulated + beta * y_in
-
-        y_in_channel.stream_read(4 * program.num_rows)
-        y_out_channel.stream_write(4 * program.num_rows)
-        y_stream_cycles = -(-program.num_rows // FLOATS_PER_WORD)
-
-        mean_utilisation, busy_utilisation = _utilisation_summary(
-            phase1.lane_slots, phase1.lane_real
+        plan = self._launch_plan(program) if self.mode == "fast" else None
+        if plan is None:
+            return self._run_reference(program, x, y_in, alpha, beta)
+        report = plan.report
+        return replace(
+            report,
+            y=alpha * plan.accumulate(x) + beta * y_in,
+            traffic_by_role=dict(report.traffic_by_role),
         )
 
-        breakdown = CycleBreakdown(
-            x_stream_cycles=phase1.x_stream_cycles,
-            y_stream_cycles=y_stream_cycles,
-            compute_cycles=phase1.compute_cycles,
-            overhead_cycles=0,
+    def _check_build(self, program_params: PartitionParams) -> None:
+        """Reject a program that needs channels or PEs this build lacks.
+
+        A replayed program's elements land on PE ``channel * P + lane`` with
+        this build's lanes-per-channel stride ``P``
+        (:meth:`_remap_program_pes`), so its last PE must exist here.  That
+        also covers channels: a program with more channels than this build
+        always overshoots.
+        """
+        own = self.params
+        last_pe = (
+            (program_params.num_channels - 1) * own.pes_per_channel
+            + program_params.pes_per_channel
+            - 1
         )
+        if last_pe >= own.total_pes:
+            raise ValueError(
+                f"a program built for {program_params.num_channels} channels x "
+                f"{program_params.pes_per_channel} PEs cannot run on "
+                f"{self.config.name} ({own.num_channels} channels x "
+                f"{own.pes_per_channel} PEs): its lanes reach PE {last_pe}, this "
+                f"build has {own.total_pes}"
+            )
+
+    def _summarise(
+        self,
+        num_rows: int,
+        y: np.ndarray,
+        x_stream_cycles: int,
+        compute_cycles: int,
+        lane_slots: np.ndarray,
+        lane_real: np.ndarray,
+        hazard_violations: int,
+    ) -> SimulationResult:
+        """Phase 2 — stream y through CompY / WrY — and the run's report."""
+        self.memory.allocation("dense_y_in")[0].stream_read(4 * num_rows)
+        self.memory.allocation("dense_y_out")[0].stream_write(4 * num_rows)
+        mean_utilisation, busy_utilisation = _utilisation_summary(lane_slots, lane_real)
         return SimulationResult(
-            y=y_out,
-            cycles=breakdown,
+            y=y,
+            cycles=CycleBreakdown(
+                x_stream_cycles=x_stream_cycles,
+                y_stream_cycles=-(-num_rows // FLOATS_PER_WORD),
+                compute_cycles=compute_cycles,
+                overhead_cycles=0,
+            ),
             pe_utilisation=mean_utilisation,
             bytes_moved=self.memory.total_bytes,
             traffic_by_role=self.memory.traffic_by_role(),
             busy_pe_utilisation=busy_utilisation,
-            hazard_violations=phase1.hazard_violations,
+            hazard_violations=hazard_violations,
         )
 
     # ------------------------------------------------------------------
     # Reference engine: one ProcessingEngine.process call per issue slot
     # ------------------------------------------------------------------
-    def _phase1_reference(
-        self, program: SerpensProgram, x: np.ndarray, x_channel, sparse_channels
-    ) -> _Phase1Outcome:
+    def _run_reference(
+        self,
+        program: SerpensProgram,
+        x: np.ndarray,
+        y_in: np.ndarray,
+        alpha: float,
+        beta: float,
+    ) -> SimulationResult:
+        self.memory.reset_traffic()
+        for pe in self.pes:
+            pe.reset_accumulator()
+        x_channel = self.memory.allocation("dense_x")[0]
+        sparse_channels = self.memory.allocation("sparse_A")
+
         x_stream_cycles = 0
         compute_cycles = 0
         global_cycle = 0
@@ -300,15 +354,15 @@ class SerpensSimulator:
             # hazard window across the boundary.
             global_cycle += segment_slots + self.params.dsp_latency
 
-        return _Phase1Outcome(
-            accumulated=self._gather_output(program.num_rows),
-            x_stream_cycles=x_stream_cycles,
-            compute_cycles=compute_cycles,
-            lane_slots=np.array([pe.cycles_busy for pe in self.pes], dtype=np.int64),
-            lane_real=np.array(
-                [pe.elements_processed for pe in self.pes], dtype=np.int64
-            ),
-            hazard_violations=sum(pe.hazard_violations for pe in self.pes),
+        accumulated = self._gather_output(program.num_rows)
+        return self._summarise(
+            program.num_rows,
+            alpha * accumulated + beta * y_in,
+            x_stream_cycles,
+            compute_cycles,
+            np.array([pe.cycles_busy for pe in self.pes], dtype=np.int64),
+            np.array([pe.elements_processed for pe in self.pes], dtype=np.int64),
+            sum(pe.hazard_violations for pe in self.pes),
         )
 
     def _gather_output(self, num_rows: int) -> np.ndarray:
@@ -332,7 +386,7 @@ class SerpensSimulator:
         return y
 
     # ------------------------------------------------------------------
-    # Fast engine: vectorised columnar execution
+    # Fast engine: a launch plan compiled once per (program, build)
     # ------------------------------------------------------------------
     def _remap_program_pes(self, program_params: PartitionParams) -> Optional[np.ndarray]:
         """Program-PE → simulator-PE translation for cross-config replay.
@@ -354,42 +408,50 @@ class SerpensSimulator:
         lane = program_pe % program_params.pes_per_channel
         return channel * self.params.pes_per_channel + lane
 
-    def _phase1_fast(
-        self, program: SerpensProgram, x: np.ndarray, x_channel, sparse_channels
-    ) -> _Phase1Outcome:
+    def _launch_plan(self, program: SerpensProgram) -> Optional[_LaunchPlan]:
+        """This build's cached plan of ``program``; ``None`` for a hazardful one.
+
+        The plan and the validation verdict are pure functions of (program,
+        simulator params), so both are cached on the columnar view and
+        repeated launches skip the O(nnz log nnz) scan entirely.  A violating
+        stream either raises (strict mode) or — since broken-hardware
+        numerics depend on element-by-element stale reads — gets no plan and
+        runs on the reference engine, which models them.
+        """
         columnar = program.columnar()
+        if self.params not in columnar.validation_cache:
+            self._compile(program, columnar)
+        plan = columnar.launch_plans.get(self.params)
+        if plan is None and self.strict_hazard_check:
+            pe_remap = self._remap_program_pes(program.params)
+            for segment in columnar.segments:  # cold path: re-find the
+                self._scan_hazards(segment, pe_remap, True)  # first pair
+        return plan
+
+    def _compile(self, program: SerpensProgram, columnar: ColumnarProgram) -> None:
+        """Validate ``program`` on this build and, when clean, cache its plan.
+
+        One pass over the packed segments, before any launch state exists:
+        every address is checked against this build, hazard-window
+        violations are counted, and everything a launch needs that does not
+        depend on x is gathered — the traffic and cycles of the x and sparse
+        streams, the per-PE issue counters, and each element's global output
+        row, global column and value.
+        """
         params = self.params
-        rows_per_pe = params.rows_per_pe
         pe_remap = self._remap_program_pes(program.params)
+        self.memory.reset_traffic()
+        x_channel = self.memory.allocation("dense_x")[0]
+        sparse_channels = self.memory.allocation("sparse_A")
 
-        # Vectorised hazard scan plus address validation over every segment,
-        # before any state is touched.  The verdict is a pure function of
-        # (program, simulator params), so it is cached on the columnar view
-        # and repeated launches skip the O(nnz log nnz) scan entirely.  A
-        # violating stream either raises (strict mode) or — since broken-
-        # hardware numerics depend on element-by-element stale reads — sends
-        # the whole run through the reference engine, which models them.
-        violations = columnar.validation_cache.get(params)
-        if violations is None:
-            violations = 0
-            for segment in columnar.segments:
-                if segment.value.size:
-                    self._check_addresses(segment, rows_per_pe)
-                violations += self._scan_hazards(segment, pe_remap, False)
-            columnar.validation_cache[params] = violations
-        if violations:
-            if self.strict_hazard_check:
-                for segment in columnar.segments:  # cold path: re-find the
-                    self._scan_hazards(segment, pe_remap, True)  # first pair
-            return self._phase1_reference(program, x, x_channel, sparse_channels)
-
-        accumulator = np.zeros(params.total_pes * rows_per_pe, dtype=np.float32)
-        x32 = x.astype(np.float32)
+        violations = 0
         x_stream_cycles = 0
         compute_cycles = 0
         lane_slots = np.zeros(params.total_pes, dtype=np.int64)
         lane_real = np.zeros(params.total_pes, dtype=np.int64)
-
+        rows: List[np.ndarray] = []
+        cols: List[np.ndarray] = []
+        values: List[np.ndarray] = []
         for segment in columnar.segments:
             segment_length = segment.segment_length
             x_channel.stream_read(4 * segment_length)
@@ -408,27 +470,39 @@ class SerpensSimulator:
 
             if segment.value.size == 0:
                 continue
-            # fp32 multiply against the resident x segment, then an ordered
-            # grouped accumulate: np.add.at applies repeated indices in array
-            # order, which is each accumulator's lane slot order — exactly
-            # the reference model's fp32 accumulation sequence.
-            products = segment.value * x32[segment.col_start : segment.col_end][
-                segment.column_offset
-            ]
-            pe = segment.pe.astype(np.int64)
-            if pe_remap is not None:
-                pe = pe_remap[pe]
-            flat_index = pe * rows_per_pe + segment.local_row.astype(np.int64)
-            np.add.at(accumulator, flat_index, products)
+            self._check_addresses(segment, params.rows_per_pe)
+            violations += self._scan_hazards(segment, pe_remap, False)
+            pe = segment.pe if pe_remap is None else pe_remap[segment.pe]
+            # Lane-major slot order within a segment, segments in order: each
+            # output row's elements stay in the datapath's accumulation order.
+            row = local_to_global_row(pe, segment.local_row, params)
+            col = segment.column_offset + segment.col_start
+            value = segment.value
+            kept = row < program.num_rows  # the rows CompY drains
+            if not kept.all():
+                row, col, value = row[kept], col[kept], value[kept]
+            rows.append(row.astype(np.int32, copy=False))
+            cols.append(col.astype(np.int32, copy=False))
+            values.append(value)
 
-        return _Phase1Outcome(
-            accumulated=self._gather_fast(accumulator, program.num_rows, rows_per_pe),
-            x_stream_cycles=x_stream_cycles,
-            compute_cycles=compute_cycles,
-            lane_slots=lane_slots,
-            lane_real=lane_real,
-            hazard_violations=0,
-        )
+        if not violations:
+            report = self._summarise(
+                program.num_rows,
+                np.empty(0),
+                x_stream_cycles,
+                compute_cycles,
+                lane_slots,
+                lane_real,
+                hazard_violations=0,
+            )
+            columnar.launch_plans[params] = _LaunchPlan(
+                num_rows=program.num_rows,
+                rows=_joined(rows, np.int32),
+                cols=_joined(cols, np.int32),
+                values=_joined(values, np.float32),
+                report=report,
+            )
+        columnar.validation_cache[params] = violations
 
     def _check_addresses(self, segment: ColumnarSegment, rows_per_pe: int) -> None:
         """Reject elements outside this build's URAM or segment ranges.
@@ -503,19 +577,12 @@ class SerpensSimulator:
             )
         return count
 
-    def _gather_fast(
-        self, accumulator: np.ndarray, num_rows: int, rows_per_pe: int
-    ) -> np.ndarray:
-        """Drain the flat accumulator into a global row vector."""
-        if num_rows == 0:
-            return np.zeros(0, dtype=np.float64)
-        from ..preprocess import map_rows
 
-        mapping = map_rows(np.arange(num_rows, dtype=np.int64), self.params)
-        flat_index = mapping.pe * rows_per_pe + mapping.local_row
-        # repro: ignore[RPR201] fp32 accumulation is already complete; the
-        # widening here is the float64 output ABI shared with the oracle.
-        return accumulator[flat_index].astype(np.float64)
+def _joined(parts: List[np.ndarray], dtype) -> np.ndarray:
+    """Per-segment parts as one array; a lone part is used as it is."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _utilisation_summary(

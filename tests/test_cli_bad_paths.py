@@ -1,4 +1,5 @@
-"""Bad paths and fault plans end in one line and exit code 2, before any run."""
+"""Bad paths, fault plans and flag values end in one line and exit code 2,
+before any run."""
 
 import pytest
 
@@ -18,6 +19,14 @@ CASES = {
     ],
     "gate-baseline": ["results", "gate", "--baseline", "{missing}.json"],
     "list-results-db": ["results", "list", "--results-db", "{missing}/x.sqlite"],
+    "workers": ["serve-bench", "--wall-clock", "--workers", "-1"],
+    "requests": ["serve-bench", "--requests", "0"],
+    "arrival-scale": [
+        "serve-bench", "--open-loop", "--wall-clock", "--arrival-scale", "-1"
+    ],
+    "devices": ["serve-bench", "--devices", "0"],
+    "max-batch": ["serve-bench", "--max-batch", "0"],
+    "deadline-ms": ["serve-bench", "--wall-clock", "--deadline-ms", "-5"],
 }
 
 

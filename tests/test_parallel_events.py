@@ -15,8 +15,6 @@ single Chrome trace with one process track per worker.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
 from repro.obs import MergedEvents, to_chrome, validate_chrome_trace
 from repro.parallel import WorkerPool
@@ -108,9 +106,13 @@ class TestCrashSurvival:
             faults=(FaultSpec(kind="crash", worker=0, at_batch=2),),
         )
         trace = small_trace(48)
+        # Three in flight: worker 0 takes all three of its home batches in
+        # the first dispatch pass, so the crash at its third batch fires
+        # however fast a batch runs (with two, an idle worker 1 can steal
+        # that batch first).
         with WorkerPool(
             num_workers=2, compute="simulate", fault_plan=plan,
-            events_path=str(prefix),
+            events_path=str(prefix), max_inflight=3,
         ) as pool:
             report = pool.run_trace(trace)
         assert report.respawns >= 1

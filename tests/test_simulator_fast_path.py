@@ -47,15 +47,19 @@ def small_config(**overrides):
     return SerpensConfig(**defaults)
 
 
-def run_both_modes(matrix, config=None, alpha=1.0, beta=0.0, seed=0):
-    """Run one SpMV through both engines on a shared program."""
+def run_both_modes(matrix, config=None, alpha=1.0, beta=0.0, seed=0, replay_on=None):
+    """Run one SpMV through both engines on a shared program.
+
+    ``replay_on`` runs the program, built for ``config``, on another build.
+    """
     config = config or small_config()
+    simulated = replay_on or config
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, matrix.num_cols)
     y = rng.uniform(-1, 1, matrix.num_rows)
     program = build_program(matrix, config.to_partition_params())
-    fast = SerpensSimulator(config, mode="fast").run(program, x, y, alpha, beta)
-    reference = SerpensSimulator(config, mode="reference").run(
+    fast = SerpensSimulator(simulated, mode="fast").run(program, x, y, alpha, beta)
+    reference = SerpensSimulator(simulated, mode="reference").run(
         program, x, y, alpha, beta
     )
     return fast, reference, (x, y)
@@ -88,6 +92,11 @@ GENERATOR_SUITE = [
 ]
 
 
+#: A replay target for programs built with :func:`small_config`: twice the
+#: channels, twice the lanes per channel.
+WIDER_BUILD = small_config(num_sparse_channels=4, pes_per_channel=8)
+
+
 class TestEquivalenceAcrossGenerators:
     @pytest.mark.parametrize("label,builder", GENERATOR_SUITE, ids=[g[0] for g in GENERATOR_SUITE])
     @pytest.mark.parametrize("seed", [1, 7])
@@ -99,6 +108,13 @@ class TestEquivalenceAcrossGenerators:
         assert_equivalent(fast, reference)
         golden = spmv(matrix, x, y, 1.5, -0.5)
         np.testing.assert_allclose(fast.y, golden, rtol=1e-4, atol=1e-5)
+        # The same program replayed on a wider build: rows map through the
+        # simulator's build (some land past num_rows and are dropped), so
+        # the engines must agree although the answer is no longer golden.
+        fast, reference, __ = run_both_modes(
+            matrix, alpha=1.5, beta=-0.5, seed=seed, replay_on=WIDER_BUILD
+        )
+        assert_equivalent(fast, reference)
 
     def test_equivalence_without_coalescing(self):
         matrix = random_uniform(200, 200, 2200, seed=3)
@@ -133,6 +149,29 @@ class TestEquivalenceAcrossGenerators:
         fast = SerpensSimulator(bigger, mode="fast").run(program, x)
         reference = SerpensSimulator(bigger, mode="reference").run(program, x)
         assert_equivalent(fast, reference)
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(num_sparse_channels=1),  # a channel the build lacks
+            dict(pes_per_channel=2),  # lanes remapped past the last PE
+        ],
+        ids=["fewer-channels", "narrower-channels"],
+    )
+    def test_replaying_on_a_smaller_build_is_rejected(self, overrides, mode):
+        # Unchecked, the first case would index past the build's channel list
+        # and the second would fold PE 5 of a 4-PE build onto PE 1's rows.
+        matrix = random_uniform(200, 200, 2500, seed=4)
+        program = build_program(matrix, small_config().to_partition_params())
+        smaller = small_config(**overrides)
+        x = np.random.default_rng(0).uniform(-1, 1, matrix.num_cols)
+        expected = (
+            "built for 2 channels x 4 PEs cannot run on Serpens-fastpath "
+            rf"\({smaller.num_sparse_channels} channels x {smaller.pes_per_channel} PEs\)"
+        )
+        with pytest.raises(ValueError, match=expected):
+            SerpensSimulator(smaller, mode=mode).run(program, x)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equivalence_replaying_on_a_narrower_build(self, seed):
@@ -315,6 +354,78 @@ class TestColumnarView:
             x = rng.uniform(-1, 1, matrix.num_cols)
             result = simulator.run(program, x)
             np.testing.assert_allclose(result.y, spmv(matrix, x), rtol=1e-4, atol=1e-5)
+
+
+class TestLaunchPlan:
+    """The fast engine's per-(program, build) plan and what a warm launch pays."""
+
+    def test_plan_is_cached_per_build_and_reused_by_fresh_simulators(self):
+        config = small_config()
+        params = config.to_partition_params()
+        matrix = random_uniform(120, 120, 1200, seed=16)
+        program = build_program(matrix, params)
+        x = np.ones(matrix.num_cols)
+        plans = program.columnar().launch_plans
+        SerpensSimulator(config, mode="reference").run(program, x)
+        assert plans == {}  # the reference engine compiles nothing
+        SerpensSimulator(config).run(program, x)
+        plan = plans[params]
+        fresh = SerpensSimulator(config)
+        fresh.run(program, x)
+        assert plans[params] is plan
+        # A warm launch builds neither the PE array nor the memory system.
+        assert "pes" not in vars(fresh) and "memory" not in vars(fresh)
+        other = small_config(num_sparse_channels=4)
+        SerpensSimulator(other).run(program, x)
+        assert set(plans) == {params, other.to_partition_params()}
+
+    def test_hazardful_stream_gets_a_verdict_but_no_plan(self):
+        config = small_config()
+        loose = replace(config.to_partition_params(), dsp_latency=1)
+        matrix = random_uniform(200, 200, 3000, seed=9)
+        program = build_program(matrix, loose)
+        x = np.ones(matrix.num_cols)
+        SerpensSimulator(config, strict_hazard_check=False).run(program, x)
+        columnar = program.columnar()
+        assert columnar.validation_cache[config.to_partition_params()] > 0
+        assert columnar.launch_plans == {}
+
+    def test_launches_return_independent_traffic(self):
+        config = small_config()
+        matrix = random_uniform(150, 150, 1500, seed=19)
+        program = build_program(matrix, config.to_partition_params())
+        simulator = SerpensSimulator(config)
+        x = np.random.default_rng(19).uniform(-1, 1, matrix.num_cols)
+        first = simulator.run(program, x)
+        expected = dict(first.traffic_by_role)
+        first.traffic_by_role["sparse_A"] = -1
+        first.traffic_by_role.clear()
+        second = simulator.run(program, x)
+        assert second.traffic_by_role == expected
+        assert second.traffic_by_role is not first.traffic_by_role
+        reference = SerpensSimulator(config, mode="reference").run(program, x)
+        assert_equivalent(second, reference)
+
+    def test_warm_launch_allocates_only_its_numerics(self):
+        # A warm Serpens-A16 launch of a ~2k-nnz matrix: with the PE array
+        # (128 x 24,576 float64) and a hardware-sized fp32 accumulator it
+        # would peak near 38 MB; the plan needs a few num_rows-long vectors.
+        import tracemalloc
+
+        from repro.serpens import SERPENS_A16
+
+        matrix = random_uniform(2000, 2000, 2000, seed=20)
+        program = build_program(matrix, SERPENS_A16.to_partition_params())
+        x = np.random.default_rng(20).uniform(-1, 1, matrix.num_cols)
+        first = SerpensSimulator(SERPENS_A16).run(program, x)  # compiles the plan
+        tracemalloc.start()
+        try:
+            warm = SerpensSimulator(SERPENS_A16).run(program, x)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(warm.y, first.y)
+        assert peak < 1 << 20, f"warm launch peaked at {peak / 1e6:.1f} MB"
 
 
 class TestModeSelection:
