@@ -22,12 +22,15 @@ It replays one load-generator trace under naive dispatch, batched FIFO and
 batched SJF scheduling, and reports throughput, tail latency and program-
 cache behaviour for each.  ``--wall-clock --workers N`` additionally serves
 the same trace on a pool of real engine worker processes (shared-memory
-transport) and prints measured latency percentiles next to the modelled
-ones.  ``--open-loop`` replays the trace's recorded arrival gaps instead of
-saturating the pool, ``--deadline-ms`` gives every request a latency budget
-(expired work is shed, not served late), and ``--fault-plan PLAN`` injects a
-declarative fault schedule (worker crashes, hangs, slowdowns, dropped
-replies) to exercise the resilience machinery::
+transport), batched by the same FIFO scheduler as the ``batched-fifo``
+variant, and prints measured latency percentiles and mean batch size next
+to the modelled ones.  By default every request is due at once (saturation);
+``--open-loop`` instead admits each request at its recorded arrival time
+(scaled by ``--arrival-scale``) and measures its latency from then,
+``--deadline-ms`` gives every request a latency budget from its due time
+(a request still queued past it is shed, not served late), and
+``--fault-plan PLAN`` injects a declarative fault schedule (worker crashes,
+hangs, slowdowns, dropped replies) to exercise the resilience machinery::
 
     python -m repro.cli serve-bench --wall-clock --workers 2 \
         --fault-plan benchmarks/faults_standard.toml --deadline-ms 2000
@@ -280,10 +283,10 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
     wallclock_rendered = None
     if getattr(args, "wall_clock", False):
         # Measured counterpart to the modelled variants above: the same
-        # trace served by real engine worker processes over shared memory.
-        # Saturation by default; --open-loop replays the trace's recorded
-        # arrival gaps instead.  Latencies are wall-clock milliseconds, not
-        # virtual time.
+        # trace served by real engine worker processes over shared memory,
+        # batched by the same FIFO scheduler policy.  Saturation by default;
+        # --open-loop admits each request at its recorded arrival instead.
+        # Latencies are wall-clock milliseconds, not virtual time.
         from .parallel import WorkerPool
 
         fault_plan = None
@@ -352,13 +355,13 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
                 "p99 ms",
                 "makespan s",
                 "MTEPS",
+                "mean batch",
                 "retries",
                 "respawns",
                 "inline",
                 "degraded",
                 "shed",
                 "ddl miss",
-                "hedges",
                 "faults",
             ],
             [
@@ -371,13 +374,13 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
                     snapshot["latency_p99_ms"],
                     snapshot["makespan_seconds"],
                     snapshot["aggregate_mteps"],
+                    snapshot["mean_batch_size"],
                     int(snapshot["retries"]),
                     int(snapshot["respawns"]),
                     int(snapshot["inline_requests"]),
                     int(snapshot["degraded_batches"]),
                     int(snapshot["shed_requests"]),
                     int(snapshot["deadline_misses"]),
-                    int(snapshot["hedges"]),
                     int(snapshot["faults_planned"]),
                 ]
             ],
@@ -1114,16 +1117,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "per-request latency budget for --wall-clock; requests whose "
-            "deadline passes before dispatch are shed instead of served late"
+            "per-request latency budget for --wall-clock, counted from the "
+            "request's due time; a request still queued when it passes is "
+            "shed instead of served late"
         ),
     )
     serving.add_argument(
         "--open-loop",
         action="store_true",
         help=(
-            "replay the trace's recorded arrival gaps in --wall-clock "
-            "(open-loop load) instead of saturating the pool"
+            "in --wall-clock, admit each request at its recorded arrival "
+            "time (open-loop load) and measure its latency from then, "
+            "instead of making every request due at once"
         ),
     )
     serving.add_argument(
@@ -1131,7 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help=(
-            "multiplier on replayed arrival times for --open-loop "
+            "multiplier on each request's arrival time for --open-loop: "
+            "it falls due arrival x scale seconds after the run starts "
             "(>1 slows the trace down, <1 compresses it)"
         ),
     )
@@ -1297,16 +1303,23 @@ def _bad_input(args: argparse.Namespace) -> Optional[str]:
     serving = command in ("serve-bench", "all")
     gate = command == "results" and args.subcommand == "gate"
     if serving:
-        deadline = args.deadline_ms
+        deadline, capacity = args.deadline_ms, args.cache_capacity
         flags = [
             ("--requests", args.requests, args.requests >= 1, "at least 1"),
             ("--max-batch", args.max_batch, args.max_batch >= 1, "at least 1"),
             ("--workers", args.workers, args.workers >= 0, "at least 0 (0 serves inline)"),
             ("--arrival-scale", args.arrival_scale, args.arrival_scale > 0, "positive"),
             ("--deadline-ms", deadline, deadline is None or deadline > 0, "positive"),
+            ("--gap-scale", args.gap_scale, args.gap_scale > 0, "positive"),
+            ("--cache-capacity", capacity, capacity is None or capacity >= 1, "at least 1"),
         ]
         if not args.engines:
-            flags.append(("--devices", args.devices, args.devices >= 1, "at least 1"))
+            a24 = args.a24
+            flags += [
+                ("--devices", args.devices, args.devices >= 1, "at least 1"),
+                ("--a24", a24, a24 is None or 0 <= a24 <= args.devices,
+                 f"between 0 and --devices ({args.devices})"),
+            ]
         for flag, value, ok, need in flags:
             if not ok:
                 return f"{flag} {value}: must be {need}"

@@ -125,10 +125,11 @@ class PoolDashboard:
                 done.add(batch)
                 latencies_ms.append(float(record.get("latency_s", 0.0)) * 1e3)
             elif kind in ("deadline_shed", "overload_shed"):
-                batch = record.get("batch")
-                pending.discard(batch)
-                inflight.pop(batch, None)
-                done.add(batch)
+                # The pool sheds queued requests before they form a batch.
+                if "batch" in record:
+                    pending.discard(record["batch"])
+                    inflight.pop(record["batch"], None)
+                    done.add(record["batch"])
                 shed_requests += int(record.get("requests", 0))
             elif kind == "hedge_fired":
                 hedges += 1

@@ -7,36 +7,38 @@ prebuilt programs over shared memory (:mod:`repro.parallel.shm`), and reports
 measured wall-clock latency percentiles and aggregate throughput next to the
 modelled numbers.
 
+Both clocks batch with one policy.  Each request enters a FIFO
+:class:`~repro.serve.Scheduler` when it falls due, and whenever a worker has
+a free inflight slot the scheduler pops the oldest queued request together
+with up to ``max_batch - 1`` more queued requests for the same matrix.
 Wall-clock mode drives load two ways.  The default is a *saturation*
-benchmark: arrival gaps are not replayed — every request is available up
-front, batches are dispatched as worker inflight slots free, and a request's
-latency is measured from its batch entering the worker's queue to its result
-arriving back, so makespan and throughput measure the pool at full load, the
-regime the paper's bandwidth argument is about.
-``run_trace(..., open_loop=True)`` instead *releases* each batch at its
-first request's recorded arrival time (stretchable via ``arrival_scale``)
-and measures latency from that release, so queueing, deadlines and shedding
-reflect the trace's arrival process.
+benchmark: every request is due at the run start, and a request's latency is
+measured from its batch's dispatch to its reply, so makespan and throughput
+measure the pool at full load, the regime the paper's bandwidth argument is
+about.  ``run_trace(..., open_loop=True)`` instead admits each request at
+its recorded arrival time (stretchable via ``arrival_scale``) and measures
+its latency from that due time, so queueing, deadlines and shedding reflect
+the trace's arrival process.
 
 Robustness, because real processes die:
 
 * each worker is health-checked (liveness + a ping heartbeat on spawn and
   respawn) and every inflight batch carries a deadline,
-* a dead or wedged worker is respawned, its matrices re-registered, and its
-  lost batches re-dispatched under a configurable
-  :class:`~repro.resilience.RetryPolicy` (attempt cap, backoff + jitter,
-  retry budget, optional hedging of stragglers),
+* a dead or wedged worker is respawned and its matrices re-registered; each
+  batch it lost is re-dispatched once, to whichever worker frees a slot
+  first,
 * repeated failures trip a per-worker
   :class:`~repro.resilience.CircuitBreaker` (closed/open/half-open with
   probe re-admission) consulted at dispatch, so the pool routes around sick
   workers instead of feeding them,
-* a batch that exhausts its attempts — or the whole pool failing to start —
-  degrades to inline execution in the parent, so no request is ever lost,
-* duplicate results (a worker that replied and *then* died mid-batch, or a
-  hedge racing its original) are deduplicated by batch id, so no request is
+* a batch lost on both of its attempts, a batch a worker reports an error
+  for, and every batch of a pool that failed to start run inline in the
+  parent, so no request is ever lost,
+* a late reply for a batch that was already answered (a worker that replied
+  and was declared dead anyway) is dropped by batch id, so no request is
   ever double-counted,
-* requests whose deadline (``run_trace(..., deadline_s=...)``) has already
-  expired at dispatch time are shed explicitly rather than served late.
+* requests whose deadline (``run_trace(..., deadline_s=...)``) passes while
+  they are queued are shed explicitly rather than served late.
 
 Fault injection is declarative: pass a
 :class:`~repro.resilience.FaultPlan` (``fault_plan=``) and each worker gets
@@ -58,7 +60,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,11 +69,16 @@ from ..formats import COOMatrix
 from ..preprocess import SerpensProgram
 from ..serve.cache import matrix_fingerprint
 from ..serve.loadgen import LoadTrace
+from ..serve.scheduler import Request, Scheduler
 from ..spmv import spmv
 from .shm import ShmBlock, share_coo, share_program
 from .worker import BatchResult, WorkBatch, WorkerConfig, worker_main
 
 __all__ = ["WallClockReport", "WallClockResult", "WorkerPool", "install_monitor"]
+
+#: Dispatches one batch may take: the first and one retry after its worker
+#: died or wedged.  A batch lost on both runs inline in the parent.
+MAX_ATTEMPTS = 2
 
 #: Optional concurrency monitor (duck-typed: ``wait_started``/``wait_finished``,
 #: ``section``, ``reader_loop_started``/``reader_pumped``).  The sanitizer in
@@ -149,7 +156,8 @@ class WallClockReport:
     #: Requests shed because their deadline expired before dispatch.
     deadline_misses: int = 0
     shed_requests: int = 0
-    #: Straggler batches duplicated onto a second worker.
+    #: Always 0, since the pool does not hedge stragglers; kept for the
+    #: snapshot readers that still list it.
     hedges: int = 0
     #: Fault specs in the installed plan (0 = fault-free run).
     faults_planned: int = 0
@@ -209,8 +217,7 @@ class _Registered:
     key: str
     name: str
     matrix: COOMatrix
-    home: int
-    coo_block: ShmBlock
+    coo_block: Optional[ShmBlock]
     #: engine name -> shared prebuilt program (Serpens engines only).
     program_blocks: Dict[str, ShmBlock] = field(default_factory=dict)
     #: engine name -> parent-side payload for inline fallback execution.
@@ -227,7 +234,6 @@ class _Slot:
     tasks: Any = None
     reply: Any = None
     reader: Optional[threading.Thread] = None
-    placed_nnz: int = 0
     respawns: int = 0
 
     @property
@@ -237,22 +243,19 @@ class _Slot:
 
 @dataclass
 class _BatchState:
-    """Lifecycle of one dispatched batch."""
+    """Lifecycle of one batch popped from the scheduler."""
 
     batch: WorkBatch
-    worker_id: int
-    requests: List[Tuple[int, str]]  # (request_id, tenant)
+    #: The scheduler requests; ``arrival_time`` is each one's due time in
+    #: seconds after the run start.
+    requests: List[Request]
     matrix: _Registered
+    #: Worker of the latest dispatch; -1 before the first.
+    worker_id: int = -1
+    #: ``perf_counter`` of the latest dispatch (or of the inline run).
     enqueued_at: float = 0.0
-    #: Dispatches so far (the RetryPolicy's attempt counter).
+    #: Dispatches so far, at most :data:`MAX_ATTEMPTS`.
     attempts: int = 0
-    #: Retry backoff: not dispatchable before this ``perf_counter`` time.
-    not_before: float = 0.0
-    #: Open-loop release (absolute ``perf_counter``); 0 = immediately.
-    release_at: float = 0.0
-    #: Absolute deadline; past it the batch is shed instead of dispatched.
-    deadline_at: Optional[float] = None
-    hedged: bool = False
 
 
 def _pump_replies(source, sink: "queue_module.Queue", worker_id: int = -1) -> None:
@@ -302,10 +305,6 @@ class WorkerPool:
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan`; each worker receives
         its resolved share of the plan's specs.
-    retry_policy:
-        ``"default"`` builds a :class:`~repro.resilience.RetryPolicy` with
-        the historical behaviour (one retry, no backoff); pass a policy to
-        customise attempts/backoff/budget/hedging.
     breaker:
         ``"default"`` gives every worker a
         :class:`~repro.resilience.CircuitBreaker`; ``None`` disables
@@ -319,7 +318,7 @@ class WorkerPool:
         Prefix for the run's event shards (see :mod:`repro.obs.events`).
         The pool writes ``<prefix>.pool.jsonl``; each worker incarnation
         writes ``<prefix>.worker<N>.g<G>.jsonl`` beside it.  Every batch
-        lifecycle step and resilience decision (retry/hedge/breaker
+        lifecycle step and resilience decision (retry/breaker
         transition/shed/respawn/injected fault) becomes a structured
         event; :class:`repro.obs.MergedEvents` aligns the shards into one
         timeline afterwards.  ``None`` (default) disables event logging —
@@ -339,7 +338,6 @@ class WorkerPool:
         scenario: str = "adhoc",
         start_method: Optional[str] = None,
         fault_plan=None,
-        retry_policy="default",
         breaker="default",
         metrics=None,
         events_path: Optional[str] = None,
@@ -353,7 +351,7 @@ class WorkerPool:
         names = list(engines) if engines else [DEFAULT_ENGINE]
         # Function-scoped import: the parallel layer reaches resilience only
         # through this lazy edge (see analysis/layers.toml).
-        from ..resilience.policy import CircuitBreaker, RetryPolicy
+        from ..resilience.policy import CircuitBreaker
 
         self._plan = fault_plan
         if fault_plan is not None and fault_plan.batch_timeout is not None:
@@ -366,10 +364,6 @@ class WorkerPool:
         self.spawn_timeout = spawn_timeout
         self.results_path = results_path
         self.scenario = scenario
-        self.retry_policy = (
-            RetryPolicy() if retry_policy == "default" or retry_policy is None
-            else retry_policy
-        )
         if breaker == "default":
             self._breakers = {
                 i: CircuitBreaker(
@@ -411,7 +405,6 @@ class WorkerPool:
         self.degraded_batches = 0
         self.deadline_misses = 0
         self.shed_requests = 0
-        self.hedges = 0
 
     # ------------------------------------------------------------------
     # Event logging (lazy obs edge)
@@ -619,19 +612,9 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(
-        self,
-        matrix: COOMatrix,
-        name: str,
-        hint: Optional[Sequence[str]] = None,
-    ) -> str:
+    def register(self, matrix: COOMatrix, name: str) -> str:
         """Share a matrix (and prebuilt programs) with every worker.
 
-        ``hint`` is a router-style preference list of engine names: the home
-        worker — the one the matrix's batches are dispatched to — is the
-        least-loaded (by placed nnz) worker whose engine matches a hinted
-        name, falling back to every worker when none matches (a hint is
-        advice, not a constraint, same as the virtual pool's placement).
         Returns the matrix key used by :meth:`run_trace` internals.
         """
         self.start()
@@ -640,11 +623,7 @@ class WorkerPool:
             return key
         prepare_started = time.perf_counter()
         entry = _Registered(
-            key=key,
-            name=name,
-            matrix=matrix,
-            home=self._place(matrix, hint),
-            coo_block=share_coo(matrix),
+            key=key, name=name, matrix=matrix, coo_block=share_coo(matrix)
         )
         if self.compute == "simulate":
             for engine_name in {slot.engine for slot in self._slots} or {""}:
@@ -665,22 +644,8 @@ class WorkerPool:
                 time.perf_counter() - prepare_started,
                 matrix=name,
                 key=key,
-                home=entry.home,
             )
         return key
-
-    def _place(self, matrix: COOMatrix, hint: Optional[Sequence[str]]) -> int:
-        if not self._slots:
-            return -1
-        candidates = self._slots
-        if hint:
-            wanted = {name.strip().lower() for name in hint}
-            hinted = [s for s in candidates if s.engine.lower() in wanted]
-            if hinted:
-                candidates = hinted
-        home = min(candidates, key=lambda s: (s.placed_nnz, s.worker_id))
-        home.placed_nnz += matrix.nnz
-        return home.worker_id
 
     def _register_with_worker(self, slot: _Slot, entry: _Registered) -> bool:
         """Register one matrix with one worker; retry once on a reported error.
@@ -688,7 +653,7 @@ class WorkerPool:
         A registration error (e.g. an shm attach failure on a respawned
         worker) is retried once — transient attach failures usually clear —
         and a second failure marks the worker sick on its breaker so
-        placement routes around it.  Returns whether the worker holds the
+        dispatch routes around it.  Returns whether the worker holds the
         matrix.
         """
         program_block = entry.program_blocks.get(slot.engine)
@@ -796,7 +761,6 @@ class WorkerPool:
     def run_trace(
         self,
         trace: LoadTrace,
-        hints: Optional[Mapping[str, Sequence[str]]] = None,
         *,
         open_loop: bool = False,
         arrival_scale: float = 1.0,
@@ -804,62 +768,56 @@ class WorkerPool:
     ) -> WallClockReport:
         """Serve a load trace and measure it on the wall clock.
 
-        ``hints`` optionally maps workload names to router engine-name
-        preference lists (see :meth:`register`).  ``open_loop=True`` replays
-        the trace's recorded arrival gaps (stretched by ``arrival_scale``)
-        instead of the saturation drive, and latency is measured from each
-        batch's release.  ``deadline_s`` gives every request that budget
-        from its release; a batch whose deadline has expired at dispatch
-        time is shed (``y=None``, ``shed_reason="deadline"``) instead of
-        served late.
+        Every request is due at the run start (saturation) unless
+        ``open_loop=True``, which makes it due at its recorded arrival time
+        stretched by ``arrival_scale`` and measures its latency from then.
+        ``deadline_s`` gives every request that budget from its due time; a
+        request still queued past it is shed (``y=None``,
+        ``shed_reason="deadline"``) instead of served late.
         """
         if self._closed:
             raise RuntimeError("pool is shut down")
         if arrival_scale <= 0:
             raise ValueError("arrival_scale must be positive")
-        started_ok = True
-        if self.num_workers:
+        pooled = self.num_workers > 0
+        if pooled:
             try:
                 self.start()
             except (TimeoutError, OSError):  # pragma: no cover - spawn failure
-                started_ok = False
-        keys: List[str] = []
-        if self.num_workers and started_ok:
-            for workload in trace.matrices:
-                keys.append(
-                    self.register(
-                        workload.matrix,
-                        workload.name,
-                        hint=(hints or {}).get(workload.name),
-                    )
+                pooled = False
+        entries = [
+            self._registered[self.register(w.matrix, w.name)]
+            if pooled
+            else _Registered(
+                key=matrix_fingerprint(w.matrix),
+                name=w.name,
+                matrix=w.matrix,
+                coo_block=None,  # inline-only: nothing is shared
+            )
+            for w in trace.matrices
+        ]
+        matrices: Dict[str, _Registered] = {}
+        for entry in entries:
+            matrices.setdefault(entry.key, entry)
+        # Trace requests are in arrival order, so this list is in due order.
+        requests: List[Request] = []
+        for index, request in enumerate(trace.requests):
+            entry = entries[request.matrix_id]
+            due = request.arrival_time * arrival_scale if open_loop else 0.0
+            requests.append(
+                Request(
+                    request_id=index,
+                    tenant=request.tenant,
+                    fingerprint=entry.key,
+                    x=trace.x_vector(request, entry.matrix.num_cols),
+                    arrival_time=due,
+                    deadline=None if deadline_s is None else due + deadline_s,
                 )
-        else:
-            keys = [matrix_fingerprint(w.matrix) for w in trace.matrices]
-        batches = self._build_batches(trace, keys)
-        for state in batches:
-            self._emit(
-                "enqueue",
-                batch=state.batch.batch_id,
-                matrix=state.matrix.name,
-                requests=len(state.requests),
-                home=state.worker_id,
             )
         run_started = time.perf_counter()
-        for state in batches:
-            if open_loop:
-                first = state.batch.request_ids[0]
-                state.release_at = run_started + (
-                    trace.requests[first].arrival_time * arrival_scale
-                )
-            if deadline_s is not None:
-                base = state.release_at if open_loop else run_started
-                state.deadline_at = base + deadline_s
-        if not self.num_workers or not started_ok:
-            results, cycles, edges = self._run_inline(trace, batches)
-        else:
-            results, cycles, edges = self._run_pooled(
-                trace, batches, open_loop=open_loop
-            )
+        results, batches, cycles, edges = self._serve(
+            requests, matrices, pooled, open_loop, run_started
+        )
         makespan = time.perf_counter() - run_started
         results.sort(key=lambda r: r.request_id)
         report = WallClockReport(
@@ -872,7 +830,7 @@ class WorkerPool:
             makespan_seconds=makespan,
             engine_cycles=cycles,
             traversed_edges=edges,
-            batches=len(batches),
+            batches=batches,
             retries=self.retries,
             respawns=self.respawns,
             inline_requests=self.inline_requests,
@@ -880,11 +838,10 @@ class WorkerPool:
                 max(1, len(e.payloads)) for e in self._registered.values()
             )
             if self._registered
-            else len(set(keys)),
+            else len(matrices),
             degraded_batches=self.degraded_batches,
             deadline_misses=self.deadline_misses,
             shed_requests=self.shed_requests,
-            hedges=self.hedges,
             faults_planned=len(self._plan.faults) if self._plan is not None else 0,
         )
         if self._metrics is not None:
@@ -906,152 +863,144 @@ class WorkerPool:
                 state.set(float(breaker.state_code), worker=worker_id)
                 trips.set(float(breaker.trips), worker=worker_id)
 
-    def _build_batches(
-        self, trace: LoadTrace, keys: List[str]
-    ) -> List[_BatchState]:
-        """Group consecutive same-matrix requests into bounded batches."""
-        states: List[_BatchState] = []
-        current: List[Tuple[int, str, np.ndarray]] = []
-        current_matrix: Optional[int] = None
+    def _serve(
+        self,
+        requests: List[Request],
+        matrices: Dict[str, _Registered],
+        pooled: bool,
+        open_loop: bool,
+        run_started: float,
+    ) -> Tuple[List[WallClockResult], int, float, float]:
+        """Admit requests as they fall due and serve the scheduler's batches.
 
-        def flush() -> None:
-            nonlocal current
-            if not current:
-                return
-            key = keys[current_matrix]
-            entry = self._registered.get(key)
-            matrix = (
-                entry.matrix
-                if entry is not None
-                else trace.matrices[current_matrix].matrix
-            )
-            if entry is None:
-                entry = _Registered(
-                    key=key,
-                    name=trace.matrices[current_matrix].name,
-                    matrix=matrix,
-                    home=-1,
-                    coo_block=None,  # inline-only: nothing is shared
-                )
-            states.append(
-                _BatchState(
-                    batch=WorkBatch(
-                        batch_id=len(states),
-                        matrix_key=key,
-                        request_ids=tuple(rid for rid, _, __ in current),
-                        xs=tuple(x for _, __, x in current),
-                    ),
-                    worker_id=entry.home,
-                    requests=[(rid, tenant) for rid, tenant, _ in current],
-                    matrix=entry,
-                )
-            )
-            current = []
-
-        for index, request in enumerate(trace.requests):
-            if (
-                request.matrix_id != current_matrix
-                or len(current) >= self.max_batch
-            ):
-                flush()
-                current_matrix = request.matrix_id
-            num_cols = trace.matrices[request.matrix_id].matrix.num_cols
-            current.append(
-                (index, request.tenant, trace.x_vector(request, num_cols))
-            )
-        flush()
-        return states
-
-    def _run_pooled(
-        self, trace: LoadTrace, batches: List[_BatchState], open_loop: bool = False
-    ) -> Tuple[List[WallClockResult], float, float]:
-        ready: Dict[int, Deque[_BatchState]] = {
-            slot.worker_id: deque() for slot in self._slots
-        }
-        for state in batches:
-            ready[state.worker_id].append(state)
+        Batches go to the workers, or with ``pooled=False`` run inline one
+        at a time.  Returns the results, the batch count, the engine cycles
+        and the traversed edges.
+        """
+        scheduler = Scheduler(policy="fifo", max_batch=self.max_batch)
         inflight: Dict[int, _BatchState] = {}
-        completed: Set[int] = set()
+        #: Batches a dead worker lost, waiting for their second dispatch.
+        lost: Deque[_BatchState] = deque()
         results: List[WallClockResult] = []
-        batch_latencies: List[float] = []
-        cycles = 0.0
-        edges = 0.0
+        cycles = edges = 0.0
+        admitted = 0
 
-        def eligible(state: _BatchState, now: float) -> bool:
-            return state.release_at <= now and state.not_before <= now
+        def due_at(index: int) -> float:
+            return run_started + requests[index].arrival_time
 
-        def pop_eligible(
-            queue: Deque[_BatchState], now: float, newest: bool = False
-        ) -> Optional[_BatchState]:
-            for state in reversed(queue) if newest else queue:
-                if eligible(state, now):
-                    queue.remove(state)
-                    return state
-            return None
-
-        def next_batch_for(slot: _Slot, now: float) -> Optional[_BatchState]:
-            state = pop_eligible(ready[slot.worker_id], now)
-            if state is not None:
-                return state
-            # Work stealing: every worker has every matrix registered, so an
-            # idle worker takes from the deepest backlog — without this a
-            # single-matrix trace would serialise onto one home worker.
-            victim = max(ready.values(), key=len)
-            return pop_eligible(victim, now, newest=True)
-
-        def shed(state: _BatchState, reason: str, now: float) -> None:
-            if state.batch.batch_id in completed:
+        def admit(now: float) -> None:
+            nonlocal admitted
+            while admitted < len(requests) and due_at(admitted) <= now:
+                scheduler.admit(requests[admitted])
+                admitted += 1
+            expired = scheduler.expire(now - run_started)
+            if not expired:
                 return
-            completed.add(state.batch.batch_id)
-            inflight.pop(state.batch.batch_id, None)
-            self.shed_requests += len(state.requests)
-            if reason == "deadline":
-                self.deadline_misses += len(state.requests)
+            self.shed_requests += len(expired)
+            self.deadline_misses += len(expired)
             self._emit(
-                "deadline_shed" if reason == "deadline" else "overload_shed",
-                batch=state.batch.batch_id,
-                requests=len(state.requests),
-                reason=reason,
+                "deadline_shed",
+                requests=len(expired),
+                request_ids=[r.request_id for r in expired],
+                reason="deadline",
             )
-            base = state.release_at or state.enqueued_at or now
-            for request_id, tenant in state.requests:
+            for request in expired:
                 results.append(
                     WallClockResult(
-                        request_id=request_id,
-                        matrix_name=state.matrix.name,
-                        tenant=tenant,
+                        request_id=request.request_id,
+                        matrix_name=matrices[request.fingerprint].name,
+                        tenant=request.tenant,
                         worker_id=-1,
                         y=None,
-                        latency_seconds=max(0.0, now - base),
-                        batch_size=len(state.requests),
+                        latency_seconds=now - run_started - request.arrival_time,
+                        batch_size=0,
                         shed=True,
-                        shed_reason=reason,
+                        shed_reason="deadline",
                     )
                 )
 
-        def dispatch() -> None:
+        def form() -> _BatchState:
+            """Pop the scheduler's next batch (some request must be queued)."""
+            queued = scheduler.next_batch()
+            entry = matrices[queued[0].fingerprint]
+            batch = WorkBatch(
+                batch_id=scheduler.batches - 1,
+                matrix_key=entry.key,
+                request_ids=tuple(r.request_id for r in queued),
+                xs=tuple(r.x for r in queued),
+            )
+            self._emit(
+                "enqueue", batch=batch.batch_id, matrix=entry.name, requests=len(queued)
+            )
+            return _BatchState(batch=batch, requests=queued, matrix=entry)
+
+        def complete(state: _BatchState, result: BatchResult, worker_id: int) -> None:
+            nonlocal cycles, edges
             now = time.perf_counter()
+            if worker_id >= 0:
+                self._record_worker_success(worker_id)
+            self._emit(
+                "reply",
+                batch=state.batch.batch_id,
+                worker=worker_id,
+                requests=len(state.requests),
+                latency_s=now - state.enqueued_at,
+            )
+            cycles += result.engine_cycles
+            edges += float(len(state.requests)) * state.matrix.matrix.nnz
+            for request, y in zip(state.requests, result.ys):
+                base = (
+                    run_started + request.arrival_time
+                    if open_loop
+                    else state.enqueued_at
+                )
+                results.append(
+                    WallClockResult(
+                        request_id=request.request_id,
+                        matrix_name=state.matrix.name,
+                        tenant=request.tenant,
+                        worker_id=worker_id,
+                        y=y,
+                        latency_seconds=now - base,
+                        batch_size=len(state.requests),
+                    )
+                )
+
+        def run_inline(state: _BatchState, degraded: bool = True) -> None:
+            if degraded:
+                self.degraded_batches += 1
+            if not state.attempts:
+                state.enqueued_at = time.perf_counter()
+            complete(state, self._execute_inline_state(state), worker_id=-1)
+
+        def handle(msg: Tuple[Any, ...]) -> None:
+            kind = msg[0]
+            if kind == "result":
+                # None for a late reply to a batch already answered.
+                state = inflight.pop(msg[2].batch_id, None)
+                if state is not None:
+                    complete(state, msg[2], msg[1])
+            elif kind == "error":
+                if isinstance(msg[1], int):
+                    self._record_worker_failure(msg[1])
+                state = inflight.pop(msg[2], None)
+                if state is not None:
+                    run_inline(state)
+            else:
+                self._pending.setdefault(kind, []).append(msg)
+
+        def dispatch(now: float) -> None:
             for slot in self._slots:
-                if not slot.alive:
+                room = self.max_inflight - sum(
+                    1 for s in inflight.values() if s.worker_id == slot.worker_id
+                )
+                if room <= 0 or not (lost or scheduler.depth) or not slot.alive:
                     continue
                 breaker = self._breakers.get(slot.worker_id)
-                while (
-                    sum(
-                        1 for s in inflight.values() if s.worker_id == slot.worker_id
-                    )
-                    < self.max_inflight
-                ):
-                    state = next_batch_for(slot, now)
-                    if state is None:
-                        break
-                    if state.deadline_at is not None and now > state.deadline_at:
-                        # Already doomed: shedding beats serving it late.
-                        shed(state, "deadline", now)
-                        continue
+                while room > 0 and (lost or scheduler.depth):
                     if breaker is not None and not breaker.allow(time.monotonic()):
-                        # Sick worker: hand the batch back for someone else.
-                        ready[slot.worker_id].appendleft(state)
                         break
+                    state = lost.popleft() if lost else form()
                     state.worker_id = slot.worker_id
                     state.attempts += 1
                     state.enqueued_at = now
@@ -1064,209 +1013,97 @@ class WorkerPool:
                         worker=slot.worker_id,
                         attempt=state.attempts,
                         requests=len(state.requests),
+                        request_ids=list(state.batch.request_ids),
                     )
+                    room -= 1
 
-        def complete(state: _BatchState, result: BatchResult, worker_id: int) -> None:
-            nonlocal cycles, edges
-            if state.batch.batch_id in completed:
-                return  # duplicate (late original racing a hedge, or a
-                # worker that replied and was declared dead anyway)
-            completed.add(state.batch.batch_id)
-            inflight.pop(state.batch.batch_id, None)
-            now = time.perf_counter()
-            if worker_id >= 0:
-                self._record_worker_success(worker_id)
-            if state.enqueued_at:
-                batch_latencies.append(now - state.enqueued_at)
-            self._emit(
-                "reply",
-                batch=state.batch.batch_id,
-                worker=worker_id,
-                requests=len(state.requests),
-                latency_s=(now - state.enqueued_at) if state.enqueued_at else 0.0,
-            )
-            cycles += result.engine_cycles
-            edges += float(len(state.requests)) * state.matrix.matrix.nnz
-            base = (
-                state.release_at
-                if open_loop and state.release_at
-                else state.enqueued_at
-            )
-            for (request_id, tenant), y in zip(state.requests, result.ys):
-                results.append(
-                    WallClockResult(
-                        request_id=request_id,
-                        matrix_name=state.matrix.name,
-                        tenant=tenant,
-                        worker_id=worker_id,
-                        y=y,
-                        latency_seconds=now - base,
-                        batch_size=len(state.requests),
-                    )
-                )
-
-        def hedge_stragglers(now: float) -> None:
-            """Duplicate over-age inflight batches onto a second worker.
-
-            Dedup-by-batch-id makes the race safe: the first reply wins and
-            the loser is dropped in :func:`complete`.
-            """
-            policy = self.retry_policy
-            if policy.hedge_after_p95 is None or not batch_latencies:
-                return
-            threshold = policy.hedge_deadline(
-                float(np.percentile(batch_latencies, 95))
-            )
-            if threshold is None:
-                return
-            for state in list(inflight.values()):
-                if state.hedged or now - state.enqueued_at < threshold:
-                    continue
-                for slot in self._slots:
-                    if slot.worker_id == state.worker_id or not slot.alive:
-                        continue
-                    breaker = self._breakers.get(slot.worker_id)
-                    if breaker is not None and not breaker.allow(time.monotonic()):
-                        continue
-                    state.hedged = True
-                    self.hedges += 1
-                    with _mon_section("tasks"):
-                        slot.tasks.put(("execute", state.batch))
-                    self._emit(
-                        "hedge_fired",
-                        batch=state.batch.batch_id,
-                        original_worker=state.worker_id,
-                        hedge_worker=slot.worker_id,
-                        age_s=now - state.enqueued_at,
-                    )
-                    break
-
-        def degrade_if_starved(now: float) -> None:
+        def degrade_if_starved() -> None:
             """Guarantee progress when every breaker refuses traffic.
 
-            With work ready, nothing inflight, and no worker admissible, the
-            oldest ready batch runs inline — waiting out a cooldown must
-            never deadlock the run.
+            With work queued, nothing inflight, and no worker admissible,
+            one batch runs inline — waiting out a cooldown must never
+            deadlock the run.
             """
-            if inflight:
+            if inflight or not (lost or scheduler.depth):
                 return
+            now = time.monotonic()
             if any(
                 slot.alive
                 and (
                     self._breakers.get(slot.worker_id) is None
-                    or self._breakers[slot.worker_id].would_allow(time.monotonic())
+                    or self._breakers[slot.worker_id].would_allow(now)
                 )
                 for slot in self._slots
             ):
                 return
-            for queue in ready.values():
-                state = pop_eligible(queue, now)
-                if state is not None:
-                    self.degraded_batches += 1
-                    complete(state, self._execute_inline_state(state), worker_id=-1)
-                    return
+            run_inline(lost.popleft() if lost else form())
 
-        states_by_id = {state.batch.batch_id: state for state in batches}
-
-        def poll_timeout(now: float) -> float:
-            if not open_loop:
-                return 0.25
-            future = [
-                s.release_at
-                for s in states_by_id.values()
-                if s.batch.batch_id not in completed
-                and s.batch.batch_id not in inflight
-                and s.release_at > now
-            ]
-            if not future:
-                return 0.25
-            return min(0.25, max(0.005, min(future) - now))
-
+        total = len(requests)
         # Health passes must not be starved by a steady reply stream from
         # healthy workers: a wedged worker's batch would otherwise wait for
         # total silence before the timeout could fire.
         health_interval = min(1.0, max(0.05, self.batch_timeout / 4.0))
         last_health = time.perf_counter()
-        while len(completed) < len(batches):
-            dispatch()
-            msg = self._next_message(timeout=poll_timeout(time.perf_counter()))
+        while len(results) < total:
+            now = time.perf_counter()
+            admit(now)
+            if not pooled:
+                if scheduler.depth:
+                    run_inline(form(), degraded=False)
+                elif admitted < total:
+                    time.sleep(max(0.0, due_at(admitted) - now))
+                continue
+            dispatch(now)
+            if len(results) == total:
+                break
+            wait = 0.25
+            if admitted < total:
+                wait = min(wait, max(0.0, due_at(admitted) - now))
+            msg = self._next_message(timeout=wait)
             if msg is not None:
-                kind = msg[0]
-                if kind == "result":
-                    result: BatchResult = msg[2]
-                    state = states_by_id.get(result.batch_id)
-                    if state is not None:
-                        complete(state, result, msg[1])
-                elif kind == "error":
-                    if isinstance(msg[1], int):
-                        self._record_worker_failure(msg[1])
-                    state = states_by_id.get(msg[2]) if msg[2] is not None else None
-                    if state is not None and state.batch.batch_id not in completed:
-                        inflight.pop(state.batch.batch_id, None)
-                        self.degraded_batches += 1
-                        complete(
-                            state, self._execute_inline_state(state), worker_id=-1
-                        )
-                else:
-                    self._pending.setdefault(kind, []).append(msg)
+                handle(msg)
                 if time.perf_counter() - last_health < health_interval:
                     continue
-            now = time.perf_counter()
-            last_health = now
-            hedge_stragglers(now)
-            self._recover_dead_workers(
-                inflight, ready, completed, complete, len(batches)
-            )
-            degrade_if_starved(time.perf_counter())
-        return results, cycles, edges
+            last_health = time.perf_counter()
+            self._recover_dead_workers(inflight, lost, handle, run_inline)
+            degrade_if_starved()
+        return results, scheduler.batches, cycles, edges
 
     def _recover_dead_workers(
         self,
         inflight: Dict[int, _BatchState],
-        ready: Dict[int, Deque[_BatchState]],
-        completed: Set[int],
-        complete,
-        total_batches: int = 0,
+        lost: Deque[_BatchState],
+        handle: Callable[[Tuple[Any, ...]], None],
+        run_inline: Callable[[_BatchState], None],
     ) -> None:
-        """Respawn dead/wedged workers; re-dispatch their batches under the
-        retry policy (attempt cap + budget + backoff), then degrade inline."""
+        """Respawn dead or wedged workers and take back their batches.
+
+        A lost batch waits in ``lost`` for its second dispatch, to any
+        worker; one that has had :data:`MAX_ATTEMPTS` runs inline.
+        """
         now = time.perf_counter()
         for slot in self._slots:
-            owned = [
-                state
+            wedged = any(
+                now - state.enqueued_at > self.batch_timeout
                 for state in inflight.values()
                 if state.worker_id == slot.worker_id
-            ]
-            wedged = any(
-                now - state.enqueued_at > self.batch_timeout for state in owned
             )
             if slot.alive and not wedged:
                 continue
-            if not slot.alive and not owned:
-                # Died idle (e.g. between batches): just bring it back.
-                pass
             if slot.alive:  # pragma: no cover - wedged but alive
                 slot.process.terminate()
                 slot.process.join(timeout=5.0)
-            # Drain any results the worker managed to send before dying so
+            # Handle any replies the worker managed to send before dying so
             # finished batches are not needlessly retried.
-            while True:
+            msg = self._next_message(timeout=0.0)
+            while msg is not None:
+                handle(msg)
                 msg = self._next_message(timeout=0.0)
-                if msg is None:
-                    break
-                if msg[0] == "result":
-                    state = inflight.get(msg[2].batch_id)
-                    if state is not None:
-                        complete(state, msg[2], msg[1])
-                else:
-                    self._pending.setdefault(msg[0], []).append(msg)
-            lost = [
-                state
-                for state in inflight.values()
+            dropped = [
+                inflight.pop(batch_id)
+                for batch_id, state in list(inflight.items())
                 if state.worker_id == slot.worker_id
             ]
-            for state in lost:
-                inflight.pop(state.batch.batch_id, None)
             self.respawns += 1
             slot.respawns += 1
             self._record_worker_failure(slot.worker_id)
@@ -1287,32 +1124,21 @@ class WorkerPool:
                 "respawn",
                 worker=slot.worker_id,
                 generation=slot.respawns,
-                lost_batches=len(lost),
+                lost_batches=len(dropped),
                 ok=respawned,
             )
-            for state in lost:
-                if state.batch.batch_id in completed:
-                    continue
-                if respawned and self.retry_policy.should_retry(
-                    state.attempts, self.retries, total_batches
-                ):
+            for state in dropped:
+                if state.attempts < MAX_ATTEMPTS:
                     self.retries += 1
-                    state.not_before = time.perf_counter() + (
-                        self.retry_policy.retry_delay(
-                            state.attempts, state.batch.batch_id
-                        )
-                    )
-                    ready[slot.worker_id].append(state)
+                    lost.append(state)
                     self._emit(
                         "retry",
                         batch=state.batch.batch_id,
                         worker=slot.worker_id,
                         attempt=state.attempts,
-                        delay_s=max(0.0, state.not_before - time.perf_counter()),
                     )
                 else:
-                    self.degraded_batches += 1
-                    complete(state, self._execute_inline_state(state), worker_id=-1)
+                    run_inline(state)
 
     # ------------------------------------------------------------------
     # Inline (degraded) execution
@@ -1366,30 +1192,3 @@ class WorkerPool:
             wall_seconds=time.perf_counter() - started,
             engine_cycles=cycles,
         )
-
-    def _run_inline(
-        self, trace: LoadTrace, batches: List[_BatchState]
-    ) -> Tuple[List[WallClockResult], float, float]:
-        """Serve the whole trace in the parent (num_workers=0 / pool down)."""
-        results: List[WallClockResult] = []
-        cycles = 0.0
-        edges = 0.0
-        for state in batches:
-            state.enqueued_at = time.perf_counter()
-            result = self._execute_inline_state(state)
-            now = time.perf_counter()
-            cycles += result.engine_cycles
-            edges += float(len(state.requests)) * state.matrix.matrix.nnz
-            for (request_id, tenant), y in zip(state.requests, result.ys):
-                results.append(
-                    WallClockResult(
-                        request_id=request_id,
-                        matrix_name=state.matrix.name,
-                        tenant=tenant,
-                        worker_id=-1,
-                        y=y,
-                        latency_seconds=now - state.enqueued_at,
-                        batch_size=len(state.requests),
-                    )
-                )
-        return results, cycles, edges

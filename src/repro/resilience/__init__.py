@@ -1,4 +1,4 @@
-"""Resilience subsystem: declarative faults, retry/breaker policies, overload.
+"""Resilience subsystem: declarative faults, circuit breakers, overload.
 
 Three modules on stdlib + numpy (plus the dependency-free
 :mod:`repro.tomlsubset` leaf for plan files; this package imports no other
@@ -8,9 +8,7 @@ without creating cycles):
 * :mod:`repro.resilience.faults` — typed, seeded fault plans (worker crash /
   hang / slowdown / shm attach failure / reply drop / engine misestimate)
   loadable from TOML or JSON, plus the worker-side injector.
-* :mod:`repro.resilience.policy` — :class:`RetryPolicy` (backoff + jitter +
-  retry budget + hedging), per-worker :class:`CircuitBreaker`, and
-  :class:`DeadlineBudget`.
+* :mod:`repro.resilience.policy` — the per-worker :class:`CircuitBreaker`.
 * :mod:`repro.resilience.overload` — tiered admission control
   (:class:`OverloadController`) with reasoned shedding and graceful
   degradation.
@@ -37,9 +35,6 @@ from .policy import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
-    DeadlineBudget,
-    RetryPolicy,
-    breaker_states,
 )
 
 __all__ = [
@@ -47,19 +42,16 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "DeadlineBudget",
     "FAULT_EXIT_CODE",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "OverloadController",
     "OverloadDecision",
-    "RetryPolicy",
     "ShmAttachFault",
     "TIER_DEGRADED",
     "TIER_NORMAL",
     "TIER_SHEDDING",
     "WorkerFaultInjector",
-    "breaker_states",
     "load_fault_plan",
 ]

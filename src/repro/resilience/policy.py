@@ -1,39 +1,23 @@
-"""Retry, circuit-breaking, and deadline policies for the serving stack.
+"""Circuit breaking for the serving stack.
 
-These are plain, clock-agnostic value objects: callers pass ``now`` in
-explicitly (host wall-clock in the worker pool, virtual time in the modelled
-service), so the same policy code is testable without sleeping and behaves
-identically in both time domains.
-
-* :class:`RetryPolicy` — how many times a failed batch may be re-dispatched,
-  with exponential backoff + deterministic jitter, an optional global retry
-  budget (a fraction of total work), and an optional hedge trigger
-  (duplicate a straggler once it exceeds a multiple of observed p95).
-  Replaces the pool's hard-coded single retry.
-* :class:`CircuitBreaker` — closed / open / half-open per worker (or per
-  engine).  Consecutive failures open it; after a cooldown one probe is
-  admitted; a probe success closes it again.  The pool consults
-  ``allow(now)`` during placement so sick workers stop receiving work
-  without being torn down.
-* :class:`DeadlineBudget` — a per-request deadline carried service →
-  scheduler → pool, with feasibility math (`remaining`, `feasible`) used by
-  admission control and dispatch-time shedding.
+:class:`CircuitBreaker` is a plain, clock-agnostic value object: callers
+pass ``now`` in explicitly, so the policy is testable without sleeping.  It
+is closed / open / half-open per worker (or per engine).  Consecutive
+failures open it; after a cooldown one probe is admitted; a probe success
+closes it again.  The worker pool consults ``allow(now)`` at dispatch so
+sick workers stop receiving work without being torn down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "DeadlineBudget",
-    "RetryPolicy",
 ]
 
 BREAKER_CLOSED = "closed"
@@ -42,67 +26,6 @@ BREAKER_HALF_OPEN = "half-open"
 
 #: Numeric encoding for metrics gauges (closed=0, half-open=1, open=2).
 BREAKER_STATE_CODES = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, jittered retries plus optional hedging.
-
-    ``max_attempts`` counts dispatches of one batch to workers (2 = the old
-    "retry once" behaviour).  ``retry_budget`` caps *total* retries across a
-    run as a fraction of total batches — the standard guard against retry
-    storms amplifying an overload.  ``hedge_after_p95`` (e.g. ``3.0``)
-    duplicates a batch still inflight after that multiple of the observed
-    p95 batch latency; the duplicate races the original, first reply wins,
-    and the pool's dedup-by-batch-id makes the race safe.
-    """
-
-    max_attempts: int = 2
-    base_delay: float = 0.0
-    multiplier: float = 2.0
-    jitter: float = 0.0
-    retry_budget: Optional[float] = None
-    hedge_after_p95: Optional[float] = None
-    #: Never hedge before this many wall seconds, whatever p95 says —
-    #: microsecond-scale p95s would otherwise hedge everything.
-    hedge_min_seconds: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.jitter < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
-        if self.retry_budget is not None and self.retry_budget < 0:
-            raise ValueError("retry_budget must be non-negative")
-        if self.hedge_after_p95 is not None and self.hedge_after_p95 <= 0:
-            raise ValueError("hedge_after_p95 must be positive")
-
-    def should_retry(self, attempts: int, retries_so_far: int, total_batches: int) -> bool:
-        """Whether a batch that has failed ``attempts`` dispatches may retry."""
-        if attempts >= self.max_attempts:
-            return False
-        if self.retry_budget is not None:
-            allowed = max(1.0, self.retry_budget * max(1, total_batches))
-            if retries_so_far >= allowed:
-                return False
-        return True
-
-    def retry_delay(self, attempts: int, batch_id: int = 0) -> float:
-        """Backoff before the ``attempts``-th re-dispatch (deterministic)."""
-        delay = self.base_delay * (self.multiplier ** max(0, attempts - 1))
-        if self.jitter > 0:
-            rng = np.random.default_rng([self.seed, batch_id, attempts])
-            delay += float(rng.uniform(0.0, self.jitter))
-        return delay
-
-    def hedge_deadline(self, p95_seconds: Optional[float]) -> Optional[float]:
-        """Inflight age past which a batch should be hedged, or ``None``."""
-        if self.hedge_after_p95 is None or not p95_seconds:
-            return None
-        return max(self.hedge_min_seconds, self.hedge_after_p95 * p95_seconds)
 
 
 @dataclass
@@ -195,35 +118,3 @@ class CircuitBreaker:
     @property
     def state_code(self) -> int:
         return BREAKER_STATE_CODES[self.state]
-
-
-@dataclass(frozen=True)
-class DeadlineBudget:
-    """An absolute deadline plus feasibility math.
-
-    ``deadline`` is in the caller's time domain (virtual or wall).  The
-    budget answers two questions: has it already been missed, and — given a
-    cost estimate for the remaining work — is finishing in time still
-    possible?  Admission control sheds on the second answer so doomed
-    requests never consume a slot.
-    """
-
-    deadline: float
-
-    def remaining(self, now: float) -> float:
-        return self.deadline - now
-
-    def expired(self, now: float) -> bool:
-        return now >= self.deadline
-
-    def feasible(self, now: float, estimated_cost: float = 0.0) -> bool:
-        return now + estimated_cost <= self.deadline
-
-    @classmethod
-    def from_timeout(cls, start: float, timeout_seconds: float) -> "DeadlineBudget":
-        return cls(deadline=start + timeout_seconds)
-
-
-def breaker_states(breakers: Dict[object, CircuitBreaker]) -> Dict[str, int]:
-    """Metric-ready `{target: state_code}` view of a breaker map."""
-    return {str(key): breaker.state_code for key, breaker in breakers.items()}

@@ -287,24 +287,6 @@ class SpMVService:
         self.scheduler.tracer = tracer
         self.pool.tracer = tracer
 
-    def attach_event_log(self, log) -> None:
-        """Wire a duck-typed event log (``repro.obs.EventLog`` shape).
-
-        Every shed decision then becomes a first-class
-        ``deadline_shed``/``overload_shed`` event, and the overload
-        controller's observer hook is pointed at the same log — the
-        modelled service reports into the same vocabulary the wall-clock
-        pool uses, without the serve layer importing obs.
-        """
-        self._event_log = log
-        overload = getattr(self.scheduler, "overload", None)
-        if overload is not None and getattr(overload, "observer", None) is None:
-            overload.observer = (
-                lambda tenant, reason, tier: log.emit(
-                    "overload_shed", tenant=tenant, reason=reason, tier=tier
-                )
-            )
-
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -606,14 +588,6 @@ class SpMVService:
     ) -> None:
         """Book one shed request: telemetry, reason counter, empty result."""
         telemetry.record_rejection(request.tenant, reason=reason)
-        log = getattr(self, "_event_log", None)
-        if log is not None:
-            log.emit(
-                "deadline_shed" if reason == "deadline_expired" else "overload_shed",
-                request=request.request_id,
-                tenant=request.tenant,
-                reason=reason,
-            )
         entry = self._matrices[request.fingerprint]
         results[request.request_id] = RequestResult(
             request_id=request.request_id,

@@ -27,6 +27,9 @@ CASES = {
     "devices": ["serve-bench", "--devices", "0"],
     "max-batch": ["serve-bench", "--max-batch", "0"],
     "deadline-ms": ["serve-bench", "--wall-clock", "--deadline-ms", "-5"],
+    "gap-scale": ["serve-bench", "--requests", "20", "--gap-scale", "0"],
+    "cache-capacity": ["serve-bench", "--requests", "20", "--cache-capacity", "0"],
+    "a24": ["serve-bench", "--requests", "20", "--devices", "4", "--a24", "9"],
 }
 
 

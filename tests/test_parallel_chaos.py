@@ -11,11 +11,13 @@ whatever was crashed, hung, or shed along the way.
 """
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.obs import read_events
 from repro.parallel import WorkerPool
 from repro.resilience import (
     BREAKER_CLOSED,
@@ -112,8 +114,8 @@ class TestFaultScenarios:
             report = pool.run_trace(trace)
         assert_no_loss_no_dup(report, trace)
         # Recovery may take either shape: a health pass respawns the dead
-        # worker, or the surviving worker steals its whole backlog first —
-        # both are correct; what must never happen is a lost request.
+        # worker, or the surviving worker takes every batch first — both
+        # are correct; what must never happen is a lost request.
         for result in report.results:
             np.testing.assert_allclose(
                 result.y, golden[result.request_id], rtol=1e-4, atol=1e-5
@@ -228,7 +230,7 @@ class TestFaultScenarios:
 
 class TestOpenLoopReplay:
     def test_open_loop_replays_arrival_gaps(self):
-        """Open-loop mode releases batches at recorded arrivals (scaled)."""
+        """Open-loop mode admits requests at recorded arrivals (scaled)."""
         trace = small_trace()
         golden = golden_ys(trace)
         # Trace arrivals are sub-millisecond; stretch them to a visible span
@@ -243,6 +245,36 @@ class TestOpenLoopReplay:
             np.testing.assert_allclose(
                 result.y, golden[result.request_id], rtol=1e-4, atol=1e-5
             )
+
+    def test_open_loop_dispatches_no_request_before_it_is_due(self, tmp_path):
+        """Causality: each request waits for its own due time, and its
+        latency counts from then, not from its batch's first request."""
+        trace = generate_trace("mixed", 60, seed=SEED)
+        # A ~1 s replay: the last request falls due one second in.
+        scale = 1.0 / max(r.arrival_time for r in trace.requests)
+        prefix = tmp_path / "open"
+        with WorkerPool(
+            num_workers=2, compute="simulate", events_path=str(prefix)
+        ) as pool:
+            for workload in trace.matrices:
+                pool.register(workload.matrix, workload.name)
+            t0 = time.time()
+            report = pool.run_trace(trace, open_loop=True, arrival_scale=scale)
+        assert_no_loss_no_dup(report, trace)
+        records = read_events(f"{prefix}.pool.jsonl")
+        replied = {r["batch"]: r["wall"] for r in records if r["kind"] == "reply"}
+        latency = {r.request_id: r.latency_seconds for r in report.results}
+        dispatched = []
+        for record in records:
+            if record["kind"] != "dispatch":
+                continue
+            for request_id in record["request_ids"]:
+                due = t0 + trace.requests[request_id].arrival_time * scale
+                assert record["wall"] >= due, (request_id, due - record["wall"])
+                # ~1 ms of slack between the event log's and the pool's clocks.
+                assert latency[request_id] <= replied[record["batch"]] - due + 1e-3
+                dispatched.append(request_id)
+        assert sorted(dispatched) == list(range(trace.num_requests))
 
     def test_arrival_scale_must_be_positive(self):
         trace = small_trace()

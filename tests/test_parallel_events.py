@@ -106,10 +106,10 @@ class TestCrashSurvival:
             faults=(FaultSpec(kind="crash", worker=0, at_batch=2),),
         )
         trace = small_trace(48)
-        # Three in flight: worker 0 takes all three of its home batches in
-        # the first dispatch pass, so the crash at its third batch fires
-        # however fast a batch runs (with two, an idle worker 1 can steal
-        # that batch first).
+        # Three in flight: worker 0 takes three of the trace's six batches
+        # in the first dispatch pass, so the crash at its third batch fires
+        # however fast a batch runs (with two, an idle worker 1 can take
+        # the remaining batches first).
         with WorkerPool(
             num_workers=2, compute="simulate", fault_plan=plan,
             events_path=str(prefix), max_inflight=3,
@@ -249,9 +249,9 @@ class TestCliAcceptance:
 
     def test_four_worker_fault_run_produces_merged_trace(self, capsys, tmp_path):
         # 720 requests → ~90 batches over 4 workers, so even the slowed
-        # worker 1 (which work stealing starves) clears the standard plan's
-        # highest per-worker fault ordinal (hang at its 9th batch) with
-        # margin under a loaded machine.
+        # worker 1 (which frees its slots least often) clears the standard
+        # plan's highest per-worker fault ordinal (hang at its 9th batch)
+        # with margin under a loaded machine.
         trace_path = tmp_path / "out.json"
         code = main([
             "serve-bench",

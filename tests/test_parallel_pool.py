@@ -6,6 +6,8 @@ fault recovery — because CI hosts (often single-core) make wall-clock
 *speed* assertions meaningless.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ class TestWallClockParity:
         assert snapshot["makespan_seconds"] > 0.0
         assert snapshot["latency_p50_ms"] <= snapshot["latency_p99_ms"]
 
+    def test_saturation_batches_fill_max_batch_per_matrix(self):
+        """All requests are due at once, so each matrix's queue splits into
+        full batches plus one remainder, whatever order the trace has."""
+        trace = generate_trace("mixed", 120, seed=SEED)
+        golden = golden_ys(trace)
+        with WorkerPool(num_workers=2, compute="reference", max_batch=32) as pool:
+            report = pool.run_trace(trace)
+        per_matrix = Counter(r.matrix_id for r in trace.requests)
+        assert report.batches == sum(-(-n // 32) for n in per_matrix.values())
+        for result in report.results:
+            np.testing.assert_array_equal(result.y, golden[result.request_id])
+
     def test_inline_degrade_matches_reference(self):
         """num_workers=0 serves in-process and still answers correctly."""
         trace = small_trace()
@@ -102,6 +116,31 @@ class TestFaultInjection:
         assert ids == list(range(trace.num_requests))  # nothing lost, no dups
         assert report.respawns >= 1
         assert report.retries >= 1
+        for result in report.results:
+            np.testing.assert_allclose(
+                result.y, golden[result.request_id], rtol=1e-4, atol=1e-5
+            )
+
+    def test_batch_lost_twice_runs_inline(self):
+        """A batch gets two dispatches; one lost on both runs in the parent.
+
+        The one worker crashes at its first batch in every incarnation, so
+        each batch it loses once is retried and lost again.
+        """
+        trace = small_trace()
+        golden = golden_ys(trace)
+        crash = FaultPlan(
+            name="crash-every-incarnation",
+            faults=(
+                FaultSpec(kind="crash", worker=0, at_batch=0),
+                FaultSpec(kind="crash", worker=0, at_batch=0, on_respawn=True),
+            ),
+        )
+        with WorkerPool(num_workers=1, compute="simulate", fault_plan=crash) as pool:
+            report = pool.run_trace(trace)
+        assert [r.request_id for r in report.results] == list(range(trace.num_requests))
+        assert report.retries >= 1
+        assert report.retries == report.degraded_batches
         for result in report.results:
             np.testing.assert_allclose(
                 result.y, golden[result.request_id], rtol=1e-4, atol=1e-5

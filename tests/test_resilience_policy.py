@@ -1,4 +1,4 @@
-"""Unit tests for retry / breaker / deadline policies (repro.resilience.policy)."""
+"""Unit tests for the circuit breaker (repro.resilience.policy)."""
 
 import pytest
 
@@ -8,67 +8,7 @@ from repro.resilience.policy import (
     BREAKER_OPEN,
     BREAKER_STATE_CODES,
     CircuitBreaker,
-    DeadlineBudget,
-    RetryPolicy,
-    breaker_states,
 )
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-def test_retry_policy_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(base_delay=-1.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(multiplier=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(retry_budget=-0.1)
-    with pytest.raises(ValueError):
-        RetryPolicy(hedge_after_p95=0.0)
-
-
-def test_should_retry_attempt_cap():
-    policy = RetryPolicy(max_attempts=2)
-    assert policy.should_retry(1, retries_so_far=0, total_batches=10)
-    assert not policy.should_retry(2, retries_so_far=0, total_batches=10)
-
-
-def test_should_retry_budget_caps_total_retries():
-    policy = RetryPolicy(max_attempts=5, retry_budget=0.2)
-    # 20% of 10 batches = 2 retries allowed.
-    assert policy.should_retry(1, retries_so_far=1, total_batches=10)
-    assert not policy.should_retry(1, retries_so_far=2, total_batches=10)
-    # The budget never rounds down to zero: one retry is always allowed.
-    tiny = RetryPolicy(max_attempts=5, retry_budget=0.01)
-    assert tiny.should_retry(1, retries_so_far=0, total_batches=3)
-    assert not tiny.should_retry(1, retries_so_far=1, total_batches=3)
-
-
-def test_retry_delay_backoff_and_deterministic_jitter():
-    policy = RetryPolicy(base_delay=0.1, multiplier=2.0)
-    assert policy.retry_delay(1) == pytest.approx(0.1)
-    assert policy.retry_delay(3) == pytest.approx(0.4)
-    jittered = RetryPolicy(base_delay=0.1, jitter=0.05, seed=42)
-    a = jittered.retry_delay(2, batch_id=7)
-    b = jittered.retry_delay(2, batch_id=7)
-    assert a == b  # same (seed, batch, attempt) -> same jitter
-    assert 0.2 <= a <= 0.25
-    assert jittered.retry_delay(2, batch_id=8) != a
-    # Zero-config policy retries immediately.
-    assert RetryPolicy().retry_delay(1) == 0.0
-
-
-def test_hedge_deadline():
-    policy = RetryPolicy(hedge_after_p95=3.0, hedge_min_seconds=0.5)
-    assert policy.hedge_deadline(None) is None
-    assert policy.hedge_deadline(0.0) is None
-    assert policy.hedge_deadline(1.0) == pytest.approx(3.0)
-    # Microsecond p95s clamp to the floor instead of hedging everything.
-    assert policy.hedge_deadline(1e-5) == pytest.approx(0.5)
-    assert RetryPolicy().hedge_deadline(1.0) is None
 
 
 # ----------------------------------------------------------------------
@@ -135,19 +75,5 @@ def test_breaker_state_codes_and_map_view():
         1: CircuitBreaker(failure_threshold=1),
     }
     breakers[1].record_failure(0.0)
-    view = breaker_states(breakers)
-    assert view == {"0": BREAKER_STATE_CODES[BREAKER_CLOSED], "1": BREAKER_STATE_CODES[BREAKER_OPEN]}
+    assert breakers[0].state_code == BREAKER_STATE_CODES[BREAKER_CLOSED]
     assert breakers[1].state_code == 2
-
-
-# ----------------------------------------------------------------------
-# DeadlineBudget
-# ----------------------------------------------------------------------
-def test_deadline_budget_math():
-    budget = DeadlineBudget.from_timeout(start=10.0, timeout_seconds=2.0)
-    assert budget.deadline == pytest.approx(12.0)
-    assert budget.remaining(11.0) == pytest.approx(1.0)
-    assert not budget.expired(11.9)
-    assert budget.expired(12.0)
-    assert budget.feasible(11.0, estimated_cost=1.0)
-    assert not budget.feasible(11.0, estimated_cost=1.5)
