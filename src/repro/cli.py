@@ -1291,6 +1291,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Experiments that read ``--scale``.
+_SCALED_EXPERIMENTS = (
+    "table4", "table5", "table7", "table8", "ablation-coalescing",
+    "ablation-segment", "ablation-window", "ablation-channels",
+)
+
+
 def _bad_input(args: argparse.Namespace) -> Optional[str]:
     """A one-line error for a path, fault plan or flag value that cannot work.
 
@@ -1300,11 +1307,13 @@ def _bad_input(args: argparse.Namespace) -> Optional[str]:
     None when everything can work.
     """
     command = args.experiment
-    serving = command in ("serve-bench", "all")
+    every = command == "all"
+    serving = every or command == "serve-bench"
     gate = command == "results" and args.subcommand == "gate"
+    flags = []
     if serving:
         deadline, capacity = args.deadline_ms, args.cache_capacity
-        flags = [
+        flags += [
             ("--requests", args.requests, args.requests >= 1, "at least 1"),
             ("--max-batch", args.max_batch, args.max_batch >= 1, "at least 1"),
             ("--workers", args.workers, args.workers >= 0, "at least 0 (0 serves inline)"),
@@ -1313,16 +1322,37 @@ def _bad_input(args: argparse.Namespace) -> Optional[str]:
             ("--gap-scale", args.gap_scale, args.gap_scale > 0, "positive"),
             ("--cache-capacity", capacity, capacity is None or capacity >= 1, "at least 1"),
         ]
-        if not args.engines:
+        if args.engines:
+            from .backends import available, describe
+
+            names = [name.strip().lower() for name in args.engines.split(",") if name.strip()]
+            known = {alias for entry in describe() for alias in (entry.name, *entry.aliases)}
+            flags.append(
+                ("--engines", args.engines, names and set(names) <= known,
+                 "registered backend names, comma-separated: " + ", ".join(available()))
+            )
+        else:
             a24 = args.a24
             flags += [
                 ("--devices", args.devices, args.devices >= 1, "at least 1"),
                 ("--a24", a24, a24 is None or 0 <= a24 <= args.devices,
                  f"between 0 and --devices ({args.devices})"),
             ]
-        for flag, value, ok, need in flags:
-            if not ok:
-                return f"{flag} {value}: must be {need}"
+    if every or command in _SCALED_EXPERIMENTS:
+        flags.append(("--scale", args.scale, 0 < args.scale <= 1, "in (0, 1]"))
+    if every or command in ("table3", "figure3"):
+        flags.append(("--count", args.count, args.count >= 1, "at least 1"))
+    if every or command == "tune":
+        channels = [token.strip() for token in args.channels.split(",") if token.strip()]
+        flags += [
+            ("--tune-matrices", args.tune_matrices, args.tune_matrices >= 1, "at least 1"),
+            ("--channels", args.channels,
+             channels and all(t.isdigit() and int(t) >= 1 for t in channels),
+             "positive integers, comma-separated"),
+        ]
+    for flag, value, ok, need in flags:
+        if not ok:
+            return f"{flag} {value}: must be {need}"
     written = [("--output", args.output)]
     if serving or command in ("tune", "results"):
         written.append(("--results-db", args.results_db))

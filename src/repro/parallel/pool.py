@@ -310,10 +310,6 @@ class WorkerPool:
         :class:`~repro.resilience.CircuitBreaker`; ``None`` disables
         breaking; a mapping ``{worker_id: CircuitBreaker}`` installs custom
         ones.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry` (duck-typed); each
-        :meth:`run_trace` publishes its snapshot (``wallclock_*``) plus
-        per-worker ``breaker_state`` gauges into it.
     events_path:
         Prefix for the run's event shards (see :mod:`repro.obs.events`).
         The pool writes ``<prefix>.pool.jsonl``; each worker incarnation
@@ -339,7 +335,6 @@ class WorkerPool:
         start_method: Optional[str] = None,
         fault_plan=None,
         breaker="default",
-        metrics=None,
         events_path: Optional[str] = None,
     ) -> None:
         if num_workers < 0:
@@ -373,7 +368,6 @@ class WorkerPool:
             }
         else:
             self._breakers = dict(breaker or {})
-        self._metrics = metrics
         self.events_path = events_path
         self._events = None
         # Breaker transitions become first-class events via the breakers'
@@ -844,24 +838,9 @@ class WorkerPool:
             shed_requests=self.shed_requests,
             faults_planned=len(self._plan.faults) if self._plan is not None else 0,
         )
-        if self._metrics is not None:
-            self._publish_metrics(report)
         if self._events is not None:
             self._events.metrics(report.snapshot(), on="run_end")
         return report
-
-    def _publish_metrics(self, report: WallClockReport) -> None:
-        """Publish the run snapshot plus breaker states (duck-typed registry)."""
-        registry = self._metrics
-        registry.set_gauges(report.snapshot(), prefix="wallclock_")
-        if self._breakers:
-            state = registry.gauge(
-                "breaker_state", "0=closed 1=half-open 2=open, per worker"
-            )
-            trips = registry.gauge("breaker_trips", "lifetime breaker trips")
-            for worker_id, breaker in sorted(self._breakers.items()):
-                state.set(float(breaker.state_code), worker=worker_id)
-                trips.set(float(breaker.trips), worker=worker_id)
 
     def _serve(
         self,

@@ -1,17 +1,14 @@
-"""Resilience subsystem: declarative faults, circuit breakers, overload.
+"""Resilience subsystem: declarative faults and circuit breakers.
 
-Three modules on stdlib + numpy (plus the dependency-free
+Two modules on stdlib + numpy (plus the dependency-free
 :mod:`repro.tomlsubset` leaf for plan files; this package imports no other
-first-party layer, so ``parallel``/``serve``/``cli`` may reach it lazily
-without creating cycles):
+first-party layer, so ``parallel``/``cli`` may reach it lazily without
+creating cycles):
 
 * :mod:`repro.resilience.faults` — typed, seeded fault plans (worker crash /
-  hang / slowdown / shm attach failure / reply drop / engine misestimate)
-  loadable from TOML or JSON, plus the worker-side injector.
+  hang / slowdown / shm attach failure / reply drop) loadable from TOML or
+  JSON, plus the worker-side injector.
 * :mod:`repro.resilience.policy` — the per-worker :class:`CircuitBreaker`.
-* :mod:`repro.resilience.overload` — tiered admission control
-  (:class:`OverloadController`) with reasoned shedding and graceful
-  degradation.
 """
 
 from .faults import (
@@ -22,13 +19,6 @@ from .faults import (
     ShmAttachFault,
     WorkerFaultInjector,
     load_fault_plan,
-)
-from .overload import (
-    TIER_DEGRADED,
-    TIER_NORMAL,
-    TIER_SHEDDING,
-    OverloadController,
-    OverloadDecision,
 )
 from .policy import (
     BREAKER_CLOSED,
@@ -46,12 +36,7 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "OverloadController",
-    "OverloadDecision",
     "ShmAttachFault",
-    "TIER_DEGRADED",
-    "TIER_NORMAL",
-    "TIER_SHEDDING",
     "WorkerFaultInjector",
     "load_fault_plan",
 ]

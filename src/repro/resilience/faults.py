@@ -17,7 +17,7 @@ Fault kinds
 ``hang``
     The worker sleeps ``seconds`` before replying to one batch.  With
     ``seconds`` above the pool's batch timeout this exercises the
-    wedged-worker detection; below it, late replies and hedging.
+    wedged-worker detection; below it, late replies.
 ``slow``
     From batch ordinal ``at_batch`` onward, every execution on the worker is
     stretched by ``factor`` (a sick-but-alive worker, the case circuit
@@ -28,20 +28,14 @@ Fault kinds
 ``reply_drop``
     One batch's reply is computed and then never sent (a torn pipe), which
     the pool must treat exactly like a wedge.
-``misestimate``
-    Service-side: the engine's per-launch estimate for matrices whose
-    registered name contains ``matrix`` (all matrices when unset) is wrong
-    by ``factor`` — the booked time inflates, so routed traffic shows the
-    error as mispredict ratio and deadline feasibility decisions go stale.
 
 Every spec may pin ``worker`` / ``at_batch`` explicitly; unset fields are
 resolved deterministically from the plan seed (:meth:`FaultPlan.scheduled`),
 so "one crash somewhere" is still the *same* crash on every run.
 
-The plan is injected through duck-typed install points —
-``WorkerPool(fault_plan=...)``, ``SpMVService(fault_plan=...)`` — and the
-worker-process side is one picklable :class:`WorkerFaultInjector` built from
-the specs relevant to that worker.
+The plan is injected through ``WorkerPool(fault_plan=...)``.  Every kind
+runs in a worker process, through one picklable :class:`WorkerFaultInjector`
+built from the specs relevant to that worker.
 """
 
 from __future__ import annotations
@@ -71,17 +65,7 @@ __all__ = [
 FAULT_EXIT_CODE = 13
 
 #: Every fault kind a plan may declare.
-FAULT_KINDS = (
-    "crash",
-    "hang",
-    "slow",
-    "shm_attach_fail",
-    "reply_drop",
-    "misestimate",
-)
-
-#: Kinds that execute inside a worker process (the rest are service-side).
-WORKER_KINDS = ("crash", "hang", "slow", "shm_attach_fail", "reply_drop")
+FAULT_KINDS = ("crash", "hang", "slow", "shm_attach_fail", "reply_drop")
 
 #: Batch-ordinal horizon used when a spec leaves ``at_batch`` unpinned and
 #: the seed must choose one.
@@ -112,11 +96,8 @@ class FaultSpec:
     at_register: Optional[int] = None
     #: Hang duration (``hang`` only).
     seconds: float = 0.0
-    #: Slowdown / estimate-error multiplier (``slow`` / ``misestimate``).
+    #: Slowdown multiplier (``slow`` only).
     factor: float = 1.0
-    #: Substring of the registered matrix name (``misestimate`` only;
-    #: ``None`` hits every matrix).
-    matrix: Optional[str] = None
     #: Fire only in a respawned worker (generation >= 1) instead of the
     #: first incarnation — e.g. "the replacement worker's shm attach fails".
     on_respawn: bool = False
@@ -129,8 +110,8 @@ class FaultSpec:
             )
         if self.kind == "hang" and self.seconds <= 0:
             raise ValueError("hang faults need seconds > 0")
-        if self.kind in ("slow", "misestimate") and self.factor <= 0:
-            raise ValueError(f"{self.kind} faults need factor > 0")
+        if self.kind == "slow" and self.factor <= 0:
+            raise ValueError("slow faults need factor > 0")
         if self.kind == "shm_attach_fail" and self.at_batch is not None:
             raise ValueError("shm_attach_fail faults use at_register, not at_batch")
         if self.worker is not None and self.worker < 0:
@@ -138,7 +119,7 @@ class FaultSpec:
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"kind": self.kind}
-        for key in ("worker", "at_batch", "at_register", "matrix"):
+        for key in ("worker", "at_batch", "at_register"):
             value = getattr(self, key)
             if value is not None:
                 payload[key] = value
@@ -208,22 +189,10 @@ class FaultPlan:
     def faults_for_worker(
         self, worker_id: int, num_workers: int
     ) -> Tuple[FaultSpec, ...]:
-        """The resolved worker-side specs one worker process must honour."""
+        """The resolved specs one worker process must honour."""
         return tuple(
-            spec
-            for spec in self.scheduled(num_workers)
-            if spec.kind in WORKER_KINDS and spec.worker == worker_id
+            spec for spec in self.scheduled(num_workers) if spec.worker == worker_id
         )
-
-    def misestimate_factor(self, matrix_name: str) -> float:
-        """Combined estimate-error multiplier for one registered matrix."""
-        factor = 1.0
-        for spec in self.faults:
-            if spec.kind != "misestimate":
-                continue
-            if spec.matrix is None or spec.matrix in matrix_name:
-                factor *= spec.factor
-        return factor
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -272,7 +241,7 @@ class FaultPlan:
             detail = ""
             if spec.kind == "hang":
                 detail = f" for {spec.seconds}s"
-            elif spec.kind in ("slow", "misestimate"):
+            elif spec.kind == "slow":
                 detail = f" x{spec.factor}"
             at = ""
             if spec.at_register is not None:

@@ -2,9 +2,10 @@
 
 Turns the single-engine, synchronous :class:`~repro.backends.Session`
 into a service: a pool of simulated Serpens devices with matrix placement
-and row-sharding, a batching scheduler with admission control, a bounded
-program cache, per-tenant/per-device telemetry, and a scenario-diverse
-load generator — all driven by a deterministic virtual-time event loop.
+and row-sharding, a batching scheduler that queues every request and sheds
+one only past its deadline, a bounded program cache, per-tenant/per-device
+telemetry, and a scenario-diverse load generator — all driven by a
+deterministic virtual-time event loop.
 
 Quickstart::
 

@@ -1,11 +1,16 @@
 """Request queue and dispatch policies for the serving layer.
 
 The scheduler owns everything between ``submit`` and a device picking work
-up: admission control (bounded queue depth, load-shedding beyond it),
-per-matrix FIFO queues, and the batching decision.  Batching matters for
-the same reason it does on real cards: switching the resident sparse-matrix
-program costs a stream-buffer reload over the host link, so launching k
-same-matrix SpMVs back-to-back pays that cost once instead of k times.
+up: admission, per-matrix FIFO queues, deadline expiry and the batching
+decision.  Admission always queues; a request leaves the queue only in a
+batch from :meth:`Scheduler.next_batch`, or through
+:meth:`Scheduler.expire` once its deadline has passed.  The virtual-time
+service and the wall-clock worker pool both admit through this one rule.
+
+Batching matters for the same reason it does on real cards: switching the
+resident sparse-matrix program costs a stream-buffer reload over the host
+link, so launching k same-matrix SpMVs back-to-back pays that cost once
+instead of k times.
 
 Two policies are provided:
 
@@ -48,12 +53,10 @@ class Request:
     seq: int = field(default=0, compare=False)
     #: Absolute virtual-time deadline; ``None`` = no latency budget.
     deadline: Optional[float] = None
-    #: Tenant priority (higher = more important) for tiered shedding.
-    priority: int = 0
 
 
 class Scheduler:
-    """Bounded request queue with same-matrix batching.
+    """Request queue with same-matrix batching and deadline expiry.
 
     Parameters
     ----------
@@ -61,31 +64,18 @@ class Scheduler:
         ``"fifo"`` or ``"sjf"``.
     max_batch:
         Most requests coalesced into one dispatch (1 = no batching).
-    max_queue_depth:
-        Admission limit; ``None`` admits everything.  A request arriving
-        at a full queue is shed, the way an overloaded service returns 429
-        instead of letting latency grow without bound.
     tracer:
         Optional :class:`repro.obs.Tracer` (duck-typed).  When attached,
-        every admission decision emits an instant marker (``admit`` /
-        ``shed``) on the ``scheduler`` track at the request's arrival time;
-        shed instants carry the shed reason.
-    overload:
-        Optional :class:`~repro.resilience.OverloadController` (duck-typed:
-        ``admit(tenant, depth, now=, deadline=, estimated_cost=)`` returning
-        a decision with ``admitted``/``reason``/``tier``).  When installed it
-        replaces the bare depth check with tiered admission — queue-full,
-        deadline-infeasibility and low-priority shedding, each counted per
-        reason in :meth:`stats`.
+        every admission emits an ``admit`` instant on the ``scheduler``
+        track at the request's arrival time, and every expiry a ``shed``
+        instant carrying the reason ``deadline_expired``.
     """
 
     def __init__(
         self,
         policy: str = "fifo",
         max_batch: int = 32,
-        max_queue_depth: Optional[int] = None,
         tracer=None,
-        overload=None,
     ) -> None:
         if policy not in SCHEDULING_POLICIES:
             raise ValueError(
@@ -93,29 +83,20 @@ class Scheduler:
             )
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be positive (or None)")
         self.policy = policy
         self.max_batch = max_batch
-        self.max_queue_depth = max_queue_depth
         self.tracer = tracer
-        self.overload = overload
         self._queues: "OrderedDict[str, Deque[Request]]" = OrderedDict()
         self._cost_fn: Optional[Callable[[str], float]] = None
         self._seq = 0
         self._sjf_fallback_warned = False
         self.admitted = 0
+        #: Requests shed by :meth:`expire` past their deadline.
         self.rejected = 0
         self.dispatched = 0
         self.batches = 0
         self.peak_depth = 0
         self.sjf_fallbacks = 0
-        #: Sheds by reason (``queue_full`` / ``deadline_infeasible`` /
-        #: ``deadline_expired`` / ``low_priority``).
-        self.shed_reasons: Dict[str, int] = {}
-        #: Reason of the most recent shed — lets the caller of
-        #: :meth:`admit` attribute a rejection without re-deriving it.
-        self.last_shed_reason = ""
         #: Whether any admitted request carried a deadline (gates the
         #: per-event-loop-step expiry scan).
         self._has_deadlines = False
@@ -131,27 +112,12 @@ class Scheduler:
         """Requests currently queued."""
         return sum(len(q) for q in self._queues.values())
 
-    def admit(self, request: Request, estimated_cost: float = 0.0) -> bool:
-        """Queue a request; returns ``False`` when it is shed.
+    def admit(self, request: Request) -> None:
+        """Queue a request.
 
-        With an overload controller installed, admission is tiered (queue
-        depth, deadline feasibility given ``estimated_cost``, tenant
-        priority); otherwise only the bare ``max_queue_depth`` cap applies.
-        The shed reason lands in :attr:`shed_reasons` and on the trace
-        instant either way.
+        It leaves the queue only in a batch from :meth:`next_batch`, or
+        through :meth:`expire` once its deadline has passed.
         """
-        if self.overload is not None:
-            decision = self.overload.admit(
-                request.tenant,
-                self.depth,
-                now=request.arrival_time,
-                deadline=request.deadline,
-                estimated_cost=estimated_cost,
-            )
-            if not decision.admitted:
-                return self._shed(request, decision.reason or "overload")
-        elif self.max_queue_depth is not None and self.depth >= self.max_queue_depth:
-            return self._shed(request, "queue_full")
         request.seq = self._seq
         self._seq += 1
         if request.deadline is not None:
@@ -160,20 +126,12 @@ class Scheduler:
         self.admitted += 1
         self.peak_depth = max(self.peak_depth, self.depth)
         self._trace_admission("admit", request)
-        return True
-
-    def _shed(self, request: Request, reason: str) -> bool:
-        self.last_shed_reason = reason
-        self.rejected += 1
-        self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-        self._trace_admission("shed", request, reason=reason)
-        return False
 
     def expire(self, now: float) -> List[Request]:
         """Pop and return queued requests whose deadline has passed.
 
-        Called by the service's event loop before dispatch so doomed
-        requests stop occupying queue slots; each is counted as a
+        Called by both clocks' serving loops before dispatch so doomed
+        requests stop occupying the queue; each is counted as a
         ``deadline_expired`` shed.  Cheap when no admitted request ever
         carried a deadline.
         """
@@ -193,11 +151,8 @@ class Scheduler:
                     self._queues[fingerprint] = keep
                 else:
                     del self._queues[fingerprint]
+        self.rejected += len(expired)
         for request in expired:
-            self.rejected += 1
-            self.shed_reasons["deadline_expired"] = (
-                self.shed_reasons.get("deadline_expired", 0) + 1
-            )
             self._trace_admission("shed", request, reason="deadline_expired")
         return expired
 
@@ -314,10 +269,7 @@ class Scheduler:
             "distinct_matrices": float(len(self.dispatch_counts)),
             "has_cost_oracle": 1.0 if self._cost_fn is not None else 0.0,
         }
-        for reason, count in sorted(self.shed_reasons.items()):
-            stats[f"sheds_{reason}"] = float(count)
-        stats["deadline_misses"] = float(
-            self.shed_reasons.get("deadline_expired", 0)
-            + self.shed_reasons.get("deadline_infeasible", 0)
-        )
+        if self.rejected:
+            stats["sheds_deadline_expired"] = float(self.rejected)
+        stats["deadline_misses"] = float(self.rejected)
         return stats

@@ -6,8 +6,9 @@ are registered once (preprocessed lazily, cached in a bounded
 arrival timestamps, and :meth:`SpMVService.drain` runs a deterministic
 discrete-event loop over a pool of simulated devices:
 
-* arrivals are admitted through the scheduler (bounded queue, load
-  shedding),
+* arrivals queue in the scheduler; a request still queued when its
+  deadline passes is shed (the one shed path, shared with the wall-clock
+  worker pool),
 * idle devices pull same-matrix batches; switching the resident matrix
   charges a program reload over the host link, and a cache miss
   additionally charges re-preprocessing — so batching and a warm cache
@@ -41,6 +42,13 @@ from .telemetry import ServiceTelemetry
 __all__ = ["RequestResult", "ServiceHandle", "ServiceReport", "SpMVService"]
 
 COMPUTE_MODES = ("reference", "simulate", "none")
+
+#: Host-link bandwidth (GB/s, PCIe-class) charged when a device switches its
+#: resident program.
+HOST_LINK_GBPS = 16.0
+#: Host preprocessing throughput (million non-zeros per second) charged when
+#: a dispatch misses the program cache.
+PREPROCESS_MNNZ_PER_S = 20.0
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,7 @@ class SpMVService:
     num_devices, config:
         Shortcut pool construction when ``pool`` is not given; ``config``
         accepts a backend registry name, an engine, or a Serpens build.
-    policy, max_batch, max_queue_depth:
+    policy, max_batch:
         Scheduler knobs (see :class:`~repro.serve.scheduler.Scheduler`).
     cache, cache_capacity:
         The shared program cache, or the capacity of a fresh one.
@@ -169,16 +177,8 @@ class SpMVService:
         ``"reference"`` computes results with the golden numpy kernel
         (fast, exact), ``"simulate"`` runs each device engine's own
         ``execute`` path (the cycle-accurate datapath on Serpens cards),
-        ``"none"`` skips numerics for timing-only studies.
-    timing_model:
-        Cycle model used for per-launch virtual time (``"detailed"`` or
-        ``"analytic"``).
-    program_load_gbps:
-        Host-link bandwidth charged when a device switches its resident
-        program (PCIe-class, 16 GB/s by default).
-    preprocess_mnnz_per_second:
-        Host preprocessing throughput (in millions of non-zeros per
-        second) charged when a dispatch misses the program cache.
+        ``"none"`` skips numerics for timing-only studies.  Per-launch
+        virtual time always comes from the engine's ``"detailed"`` estimate.
     router:
         Optional :class:`~repro.autotune.EngineRouter`.  When given, every
         registration is routed — placement prefers devices of the predicted
@@ -203,20 +203,9 @@ class SpMVService:
         effective bandwidth.
     deadline_s:
         Optional per-request latency budget (virtual seconds).  Every
-        submitted request gets ``deadline = arrival_time + deadline_s``;
-        admission sheds infeasible requests and the event loop expires
-        queued requests whose deadline has passed (both counted as
-        ``deadline_*`` sheds in telemetry).
-    overload:
-        Optional :class:`~repro.resilience.OverloadController` (duck-typed)
-        handed to the scheduler: tiered admission by queue depth, deadline
-        feasibility and tenant priority instead of the bare depth cap.
-    fault_plan:
-        Optional :class:`~repro.resilience.FaultPlan` (duck-typed:
-        ``misestimate_factor(name)``).  ``misestimate`` specs multiply the
-        engine estimate a matrix is booked at during registration, so a
-        wrong cost model shows up in the mispredict ratio and in
-        SJF/deadline decisions, exactly like a production estimator bug.
+        submitted request gets ``deadline = arrival_time + deadline_s``,
+        and the event loop expires queued requests whose deadline has
+        passed (counted as ``deadline_expired`` sheds in telemetry).
     """
 
     def __init__(
@@ -226,20 +215,14 @@ class SpMVService:
         config: DeviceSpec = SERPENS_A16,
         policy: str = "fifo",
         max_batch: int = 32,
-        max_queue_depth: Optional[int] = None,
         cache: Optional[ProgramCache] = None,
         cache_capacity: Optional[int] = None,
         replicas: int = 1,
         compute: str = "reference",
-        timing_model: str = "detailed",
-        program_load_gbps: float = 16.0,
-        preprocess_mnnz_per_second: float = 20.0,
         router=None,
         tracer=None,
         metrics=None,
         deadline_s: Optional[float] = None,
-        overload=None,
-        fault_plan=None,
     ) -> None:
         if compute not in COMPUTE_MODES:
             raise ValueError(
@@ -250,28 +233,18 @@ class SpMVService:
         self.tracer = tracer
         self.metrics = metrics
         self.deadline_s = deadline_s
-        self.fault_plan = fault_plan
         self.pool = pool if pool is not None else AcceleratorPool.homogeneous(
             num_devices, config
         )
         if tracer is not None and self.pool.tracer is None:
             self.pool.tracer = tracer
-        self.scheduler = Scheduler(
-            policy=policy,
-            max_batch=max_batch,
-            max_queue_depth=max_queue_depth,
-            tracer=tracer,
-            overload=overload,
-        )
+        self.scheduler = Scheduler(policy=policy, max_batch=max_batch, tracer=tracer)
         self.scheduler.set_cost_fn(self._cost_of)
         self.cache = cache if cache is not None else ProgramCache(
             capacity=cache_capacity
         )
         self.default_replicas = replicas
         self.compute = compute
-        self.timing_model = timing_model
-        self.program_load_gbps = program_load_gbps
-        self.preprocess_mnnz_per_second = preprocess_mnnz_per_second
         self.router = router
         self._matrices: Dict[str, _ServedMatrix] = {}
         self._pending: List[Request] = []
@@ -343,20 +316,14 @@ class SpMVService:
                 shard_matrix = blocks[idx] if placement.sharded else matrix
                 key = self._program_key(fingerprint, device, shard, placement.sharded)
                 estimate = device.engine.estimate(
-                    shard_matrix, matrix_name=name, model=self.timing_model
+                    shard_matrix, matrix_name=name, model="detailed"
                 )
-                per_launch_seconds = estimate.seconds
-                if self.fault_plan is not None:
-                    # Injected estimator error: the booked per-launch time is
-                    # wrong by the plan's factor, so SJF ordering, deadline
-                    # feasibility and the mispredict ratio all see it.
-                    per_launch_seconds *= self.fault_plan.misestimate_factor(name)
                 shard_rts.append(
                     _ShardRuntime(
                         shard=shard,
                         matrix=shard_matrix,
                         program_key=key,
-                        per_launch_seconds=per_launch_seconds,
+                        per_launch_seconds=estimate.seconds,
                         # The prediction for this shard's own engine — the
                         # hint tolerance lets placement land on any
                         # near-equivalent engine, so the SJF cost and the
@@ -423,15 +390,13 @@ class SpMVService:
         y: Optional[np.ndarray] = None,
         alpha: float = 1.0,
         beta: float = 0.0,
-        priority: int = 0,
         deadline: Optional[float] = None,
     ) -> int:
         """Queue one launch request; returns its request id.
 
         ``deadline`` is an absolute virtual-time deadline; when ``None``
         and the service has a ``deadline_s`` budget, the request gets
-        ``arrival_time + deadline_s``.  ``priority`` feeds the overload
-        controller's tiered shedding (higher = kept longer).
+        ``arrival_time + deadline_s``.
         """
         entry = self._matrices.get(handle.fingerprint)
         if entry is None:
@@ -458,7 +423,6 @@ class SpMVService:
                 alpha=alpha,
                 beta=beta,
                 deadline=deadline,
-                priority=priority,
             )
         )
         return request_id
@@ -488,20 +452,12 @@ class SpMVService:
         index = 0
         while True:
             while index < len(arrivals) and arrivals[index].arrival_time <= clock:
-                request = arrivals[index]
+                self.scheduler.admit(arrivals[index])
                 index += 1
-                estimated_cost = self._cost_of(request.fingerprint)
-                if not self.scheduler.admit(request, estimated_cost=estimated_cost):
-                    self._record_shed(
-                        request,
-                        self.scheduler.last_shed_reason or "queue_full",
-                        telemetry,
-                        results,
-                    )
-            # Deadline-expired requests stop occupying queue slots before
-            # any dispatch decision is made against this clock step.
+            # Deadline-expired requests leave the queue before any dispatch
+            # decision is made against this clock step.
             for request in self.scheduler.expire(clock):
-                self._record_shed(request, "deadline_expired", telemetry, results)
+                self._record_expired(request, telemetry, results)
             telemetry.record_queue_depth(clock, self.scheduler.depth)
             if self.tracer is not None:
                 self.tracer.counter(
@@ -579,15 +535,14 @@ class SpMVService:
             )
         return self.drain()
 
-    def _record_shed(
+    def _record_expired(
         self,
         request: Request,
-        reason: str,
         telemetry: ServiceTelemetry,
         results: Dict[int, RequestResult],
     ) -> None:
-        """Book one shed request: telemetry, reason counter, empty result."""
-        telemetry.record_rejection(request.tenant, reason=reason)
+        """Book one request shed past its deadline: telemetry, empty result."""
+        telemetry.record_rejection(request.tenant, reason="deadline_expired")
         entry = self._matrices[request.fingerprint]
         results[request.request_id] = RequestResult(
             request_id=request.request_id,
@@ -792,11 +747,9 @@ class SpMVService:
         load_seconds = 0.0
         if self.cache.misses > misses_before:
             # Cold program: the host re-runs preprocessing before the upload.
-            load_seconds += shard_rt.matrix.nnz / (
-                self.preprocess_mnnz_per_second * 1e6
-            )
+            load_seconds += shard_rt.matrix.nnz / (PREPROCESS_MNNZ_PER_S * 1e6)
         program_bytes = device.engine.payload_bytes(program)
-        load_seconds += program_bytes / (self.program_load_gbps * 1e9)
+        load_seconds += program_bytes / (HOST_LINK_GBPS * 1e9)
         device.resident_key = shard_rt.program_key
         device.stats.program_switches += 1
         device.stats.program_bytes_loaded += program_bytes

@@ -104,8 +104,8 @@ class ServiceTelemetry:
         self._tenant_latency: Dict[str, List[float]] = {}
         self._tenant_queue: Dict[str, List[float]] = {}
         self._tenant_rejected: Dict[str, int] = {}
-        #: Shed counts keyed by reason (``queue_full``, ``deadline_expired``,
-        #: ``deadline_infeasible``, ``low_priority``, ...).
+        #: Shed counts keyed by reason; the service sheds only
+        #: ``deadline_expired`` requests.
         self._shed_reasons: Dict[str, int] = {}
         self._devices: Dict[str, _DeviceCounters] = {}
         self._routing: Dict[str, _RoutingCounters] = {}
@@ -133,7 +133,7 @@ class ServiceTelemetry:
         self._tenant_queue.setdefault(tenant, []).append(queue_seconds)
         self.completed += 1
 
-    def record_rejection(self, tenant: str, reason: str = "queue_full") -> None:
+    def record_rejection(self, tenant: str, reason: str) -> None:
         """Book one shed request, attributed to why it was shed."""
         self._tenant_rejected[tenant] = self._tenant_rejected.get(tenant, 0) + 1
         self._shed_reasons[reason] = self._shed_reasons.get(reason, 0) + 1

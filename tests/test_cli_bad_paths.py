@@ -10,6 +10,7 @@ CASES = {
     "plan-missing": ["serve-bench", "--fault-plan", "{missing}.toml"],
     "plan-syntax": ["serve-bench", "--fault-plan", "{bad_syntax}"],
     "plan-kind": ["serve-bench", "--fault-plan", "{unknown_kind}"],
+    "plan-misestimate": ["serve-bench", "--wall-clock", "--fault-plan", "{misestimate}"],
     "trace-dir": ["serve-bench", "--trace", "{missing}/t.json"],
     "results-db-dir": ["serve-bench", "--results-db", "{missing}/x.sqlite"],
     "emit-bench-dir": ["serve-bench", "--emit-bench", "{missing}/b.json"],
@@ -30,6 +31,13 @@ CASES = {
     "gap-scale": ["serve-bench", "--requests", "20", "--gap-scale", "0"],
     "cache-capacity": ["serve-bench", "--requests", "20", "--cache-capacity", "0"],
     "a24": ["serve-bench", "--requests", "20", "--devices", "4", "--a24", "9"],
+    "engines-empty": ["serve-bench", "--engines", ","],
+    "engines-unknown": ["serve-bench", "--engines", "nosuch"],
+    "tune-matrices": ["tune", "--tune-matrices", "0"],
+    "channels-empty": ["tune", "--channels", ","],
+    "channels-word": ["tune", "--channels", "8,abc"],
+    "scale": ["table4", "--scale", "0"],
+    "count": ["figure3", "--count", "0"],
 }
 
 
@@ -39,10 +47,13 @@ def test_bad_path_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     bad_syntax.write_text('[plan\nname = "broken"\n')
     unknown_kind = tmp_path / "kind.toml"
     unknown_kind.write_text('[fault.f]\nkind = "meteor"\n')
+    misestimate = tmp_path / "misestimate.toml"
+    misestimate.write_text('[fault.f]\nkind = "misestimate"\nfactor = 4.0\n')
     paths = {
         "missing": str(tmp_path / "missing" / "dir"),
         "bad_syntax": str(bad_syntax),
         "unknown_kind": str(unknown_kind),
+        "misestimate": str(misestimate),
     }
 
     def no_serving(*args, **kwargs):

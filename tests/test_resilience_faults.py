@@ -7,7 +7,6 @@ import pytest
 
 from repro.resilience.faults import (
     FAULT_EXIT_CODE,
-    FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     ShmAttachFault,
@@ -26,7 +25,6 @@ STANDARD_PLAN = REPO_ROOT / "benchmarks" / "faults_standard.toml"
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown fault kind"):
         FaultSpec(kind="meteor")
-    assert "misestimate" in FAULT_KINDS
 
 
 def test_spec_validation():
@@ -34,8 +32,6 @@ def test_spec_validation():
         FaultSpec(kind="hang")
     with pytest.raises(ValueError, match="factor > 0"):
         FaultSpec(kind="slow", factor=0.0)
-    with pytest.raises(ValueError, match="factor > 0"):
-        FaultSpec(kind="misestimate", factor=-1.0)
     with pytest.raises(ValueError, match="at_register"):
         FaultSpec(kind="shm_attach_fail", at_batch=3)
     with pytest.raises(ValueError, match="non-negative"):
@@ -95,29 +91,12 @@ def test_faults_for_worker_filters_worker_kinds():
         faults=(
             FaultSpec(kind="crash", worker=0, at_batch=1),
             FaultSpec(kind="slow", worker=1, at_batch=0, factor=2.0),
-            FaultSpec(kind="misestimate", factor=3.0),
         )
     )
     w0 = plan.faults_for_worker(0, 2)
     assert [s.kind for s in w0] == ["crash"]
     w1 = plan.faults_for_worker(1, 2)
     assert [s.kind for s in w1] == ["slow"]
-    # misestimate is service-side and never ships to a worker.
-    assert all(
-        s.kind != "misestimate" for wid in (0, 1) for s in plan.faults_for_worker(wid, 2)
-    )
-
-
-def test_misestimate_factor_matches_substring():
-    plan = FaultPlan(
-        faults=(
-            FaultSpec(kind="misestimate", factor=4.0, matrix="sparse"),
-            FaultSpec(kind="misestimate", factor=2.0),
-        )
-    )
-    assert plan.misestimate_factor("dense-16") == pytest.approx(2.0)
-    assert plan.misestimate_factor("sparse-uniform-64") == pytest.approx(8.0)
-    assert FaultPlan().misestimate_factor("anything") == 1.0
 
 
 def test_plan_round_trip_and_describe():

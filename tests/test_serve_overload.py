@@ -1,9 +1,9 @@
-"""Tests for tiered admission control, deadlines, and shed attribution.
+"""Tests for deadlines and shed attribution in the serving layer.
 
-Covers the resilience <-> serve seam: the OverloadController in isolation,
-the Scheduler with it installed (plus deadline expiry), and the SpMVService
-end-to-end paths — deadline budgets, priority shedding, and misestimate
-faults showing up in the booked cost model.
+Admission always queues, so a request is shed only when its deadline
+passes while it waits.  Covers the Scheduler's deadline expiry, the
+SpMVService's deadline budget and end-to-end expiry, and the per-reason
+shed counts in telemetry.
 """
 
 import numpy as np
@@ -11,15 +11,6 @@ import pytest
 
 from repro.generators import random_uniform
 from repro.obs import MetricsRegistry
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    OverloadController,
-    OverloadDecision,
-    TIER_DEGRADED,
-    TIER_NORMAL,
-    TIER_SHEDDING,
-)
 from repro.serpens import SerpensConfig
 from repro.serve import AcceleratorPool, SpMVService
 from repro.serve.scheduler import Request, Scheduler
@@ -61,99 +52,14 @@ def make_request(request_id, tenant="default", deadline=None, arrival=0.0):
 
 
 # ----------------------------------------------------------------------
-# OverloadController
-# ----------------------------------------------------------------------
-class TestOverloadController:
-    def test_derived_thresholds_and_tiers(self):
-        ctl = OverloadController(max_queue_depth=100)
-        assert ctl.shed_depth == 60
-        assert ctl.degrade_depth == 85
-        assert ctl.tier(0) == TIER_NORMAL
-        assert ctl.tier(60) == TIER_SHEDDING
-        assert ctl.tier(85) == TIER_DEGRADED
-        with pytest.raises(ValueError, match="degrade_depth"):
-            OverloadController(shed_depth=10, degrade_depth=5)
-
-    def test_hard_cap_sheds_queue_full(self):
-        ctl = OverloadController(max_queue_depth=10)
-        decision = ctl.admit("t", depth=10)
-        assert not decision.admitted
-        assert decision.reason == "queue_full"
-
-    def test_deadline_infeasible_shed(self):
-        ctl = OverloadController()
-        ok = ctl.admit("t", depth=0, now=1.0, deadline=2.0, estimated_cost=0.5)
-        assert ok.admitted and ok.tier == TIER_NORMAL
-        doomed = ctl.admit("t", depth=0, now=1.0, deadline=2.0, estimated_cost=1.5)
-        assert not doomed.admitted
-        assert doomed.reason == "deadline_infeasible"
-
-    def test_priority_shedding_and_degrade(self):
-        ctl = OverloadController(
-            max_queue_depth=10, priorities={"gold": 1}, default_priority=0
-        )
-        # Tier 1 (depth >= 6): low-priority tenants shed, gold admitted.
-        assert not ctl.admit("bronze", depth=6).admitted
-        assert ctl.admit("gold", depth=6).admitted
-        # Tier 2 (depth >= 8): gold is told to degrade, bronze still shed.
-        decision = ctl.admit("gold", depth=8)
-        assert decision.admitted
-        assert decision.action == "degrade"
-        assert decision.tier == TIER_DEGRADED
-        assert not ctl.admit("bronze", depth=8).admitted
-        stats = ctl.stats()
-        assert stats["sheds_low_priority"] == 2
-        assert stats["overload_degraded"] == 1
-        assert stats["overload_admitted"] == 2
-
-    def test_decision_value_object(self):
-        assert OverloadDecision("admit").admitted
-        assert OverloadDecision("degrade").admitted
-        assert not OverloadDecision("shed", reason="queue_full").admitted
-
-    def test_publish_uses_real_registry_and_is_idempotent(self):
-        ctl = OverloadController(max_queue_depth=2)
-        ctl.admit("t", depth=0)
-        ctl.admit("t", depth=2)  # queue_full
-        registry = MetricsRegistry()
-        ctl.publish(registry)
-        ctl.publish(registry)  # re-publishing must not double-count
-        sheds = registry.counter("sheds_total")
-        assert sheds.value(reason="queue_full") == 1.0
-        assert registry.gauge("overload_admitted_total").value() == 1.0
-
-
-# ----------------------------------------------------------------------
 # Scheduler integration
 # ----------------------------------------------------------------------
 class TestSchedulerResilience:
-    def test_overload_controller_replaces_depth_cap(self):
-        sched = Scheduler(
-            max_batch=4,
-            overload=OverloadController(
-                max_queue_depth=2, priorities={"default": 1}
-            ),
-        )
-        assert sched.admit(make_request(0))
-        assert sched.admit(make_request(1))
-        assert not sched.admit(make_request(2))
-        assert sched.last_shed_reason == "queue_full"
-        stats = sched.stats()
-        assert stats["sheds_queue_full"] == 1.0
-        assert stats["admitted"] == 2.0
-
-    def test_infeasible_deadline_counted_as_miss(self):
-        sched = Scheduler(overload=OverloadController())
-        request = make_request(0, deadline=1.0, arrival=0.5)
-        assert not sched.admit(request, estimated_cost=2.0)
-        assert sched.last_shed_reason == "deadline_infeasible"
-        assert sched.stats()["deadline_misses"] == 1.0
-
     def test_expire_pops_past_deadline_requests(self):
         sched = Scheduler()
-        assert sched.admit(make_request(0, deadline=1.0))
-        assert sched.admit(make_request(1, deadline=3.0))
-        assert sched.admit(make_request(2))  # no deadline: immune
+        sched.admit(make_request(0, deadline=1.0))
+        sched.admit(make_request(1, deadline=3.0))
+        sched.admit(make_request(2))  # no deadline: immune
         assert sched.next_deadline() == 1.0
         expired = sched.expire(now=2.0)
         assert [r.request_id for r in expired] == [0]
@@ -212,64 +118,6 @@ class TestServiceResilience:
         snapshot = report.telemetry.snapshot()
         assert snapshot["sheds_deadline_expired"] == 4.0
         assert report.scheduler_stats["deadline_misses"] == 4.0
-
-    def test_infeasible_deadline_shed_at_admission(self):
-        service = small_service(overload=OverloadController())
-        matrix = random_uniform(60, 60, 300, seed=3)
-        handle = service.register(matrix, name="m")
-        # Zero margin: now + estimated_cost > deadline at admission time.
-        service.submit(handle, np.ones(60), arrival_time=1.0, deadline=1.0)
-        service.submit(handle, np.ones(60), arrival_time=1.0)
-        report = service.drain()
-        assert len(report.rejected) == 1
-        assert len(report.completed) == 1
-        assert report.telemetry.shed_reasons() == {"deadline_infeasible": 1}
-        assert report.scheduler_stats["deadline_misses"] == 1.0
-
-    def test_priority_tiers_shed_low_priority_first(self):
-        service = small_service(
-            overload=OverloadController(
-                max_queue_depth=4, priorities={"gold": 1}, default_priority=0
-            )
-        )
-        matrix = random_uniform(60, 60, 300, seed=4)
-        handle = service.register(matrix, name="m")
-        # All arrive at t=0 before any dispatch: depth climbs 0,1,2,... so
-        # bronze traffic starts shedding at the tier-1 threshold (depth 2)
-        # while gold keeps being admitted.
-        for __ in range(6):
-            service.submit(handle, np.ones(60), tenant="bronze", arrival_time=0.0)
-        for __ in range(2):
-            service.submit(
-                handle, np.ones(60), tenant="gold", arrival_time=0.0, priority=1
-            )
-        report = service.drain()
-        snapshot = report.telemetry.snapshot()
-        assert snapshot["sheds_low_priority"] >= 1.0
-        gold = [r for r in report.results if r.tenant == "gold"]
-        assert all(not r.rejected for r in gold)
-        assert len(report.completed) + len(report.rejected) == 8
-
-    def test_misestimate_fault_inflates_booked_cost(self):
-        matrix = random_uniform(60, 60, 300, seed=5)
-        clean = small_service()
-        handle = clean.register(matrix, name="victim")
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="misestimate", factor=4.0, matrix="victim"),)
-        )
-        faulty = small_service(fault_plan=plan)
-        faulty.register(matrix, name="victim")
-        ratio = faulty._cost_of(handle.fingerprint) / clean._cost_of(handle.fingerprint)
-        assert ratio == pytest.approx(4.0)
-        # A plan that names a different matrix leaves the estimate alone.
-        other_plan = FaultPlan(
-            faults=(FaultSpec(kind="misestimate", factor=4.0, matrix="elsewhere"),)
-        )
-        untouched = small_service(fault_plan=other_plan)
-        untouched.register(matrix, name="victim")
-        assert untouched._cost_of(handle.fingerprint) == pytest.approx(
-            clean._cost_of(handle.fingerprint)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.generators import random_uniform
 from repro.serpens import SERPENS_A16, SERPENS_A24, SerpensConfig
-from repro.serve import AcceleratorPool, Request, Scheduler, shard_rows
+from repro.serve import (
+    SCHEDULING_POLICIES,
+    AcceleratorPool,
+    Request,
+    Scheduler,
+    shard_rows,
+)
 from repro.spmv import spmv
 
 
@@ -180,23 +188,11 @@ class TestScheduler:
         assert scheduler.next_batch(runnable={"c"}) == []
         assert scheduler.depth == 1
 
-    def test_admission_control_sheds(self):
-        scheduler = Scheduler(policy="fifo", max_queue_depth=2)
-        assert scheduler.admit(make_request(0, "a"))
-        assert scheduler.admit(make_request(1, "a"))
-        assert not scheduler.admit(make_request(2, "a"))
-        assert scheduler.rejected == 1
-        stats = scheduler.stats()
-        assert stats["admitted"] == 2
-        assert stats["peak_depth"] == 2
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Scheduler(policy="lifo")
         with pytest.raises(ValueError):
             Scheduler(max_batch=0)
-        with pytest.raises(ValueError):
-            Scheduler(max_queue_depth=0)
 
     def test_mean_batch_size_stat(self):
         scheduler = Scheduler(policy="fifo", max_batch=8)
@@ -237,3 +233,69 @@ class TestScheduler:
         stats = scheduler.stats()
         assert stats["sjf_fallbacks"] == 0
         assert stats["has_cost_oracle"] == 1.0
+
+
+#: One scheduler call: ("admit", matrix, deadline or None),
+#: ("next_batch", runnable matrices or None) or ("expire", now).
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("admit"), st.integers(0, 2), st.one_of(st.none(), st.integers(0, 20))
+        ),
+        st.tuples(st.just("next_batch"), st.one_of(st.none(), st.frozensets(st.integers(0, 2)))),
+        st.tuples(st.just("expire"), st.integers(0, 20)),
+    ),
+    max_size=40,
+)
+
+
+class TestSchedulerAccounting:
+    @settings(max_examples=200, deadline=None)
+    @given(policy=st.sampled_from(SCHEDULING_POLICIES), max_batch=st.integers(1, 4), calls=_CALLS)
+    def test_every_request_is_queued_dispatched_or_expired_exactly_once(
+        self, policy, max_batch, calls
+    ):
+        scheduler = Scheduler(policy=policy, max_batch=max_batch)
+        if policy == "sjf":
+            scheduler.set_cost_fn({"m0": 3.0, "m1": 1.0, "m2": 2.0}.__getitem__)
+        admitted = dispatched = expired = peak = 0
+        left = set()
+        for call in calls:
+            if call[0] == "admit":
+                __, matrix, deadline = call
+                scheduler.admit(
+                    Request(
+                        request_id=admitted,
+                        tenant="t",
+                        fingerprint=f"m{matrix}",
+                        x=np.ones(4),
+                        deadline=None if deadline is None else float(deadline),
+                    )
+                )
+                admitted += 1
+                gone = []
+            elif call[0] == "next_batch":
+                runnable = None if call[1] is None else {f"m{i}" for i in call[1]}
+                gone = scheduler.next_batch(runnable)
+                if gone:
+                    assert len({r.fingerprint for r in gone}) == 1
+                    assert runnable is None or gone[0].fingerprint in runnable
+                    assert len(gone) <= max_batch
+                    assert [r.seq for r in gone] == sorted(r.seq for r in gone)
+                dispatched += len(gone)
+            else:
+                gone = scheduler.expire(float(call[1]))
+                assert all(r.deadline is not None and r.deadline <= call[1] for r in gone)
+                expired += len(gone)
+            ids = [r.request_id for r in gone]
+            assert len(set(ids)) == len(ids) and left.isdisjoint(ids)
+            left.update(ids)
+            depth = admitted - dispatched - expired
+            peak = max(peak, depth)
+            assert scheduler.depth == depth
+            stats = scheduler.stats()
+            assert stats["admitted"] == admitted
+            assert stats["dispatched"] == dispatched
+            assert stats["rejected"] == expired
+            assert stats["depth"] == depth
+            assert stats["peak_depth"] == peak

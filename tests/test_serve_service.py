@@ -143,22 +143,6 @@ class TestBatchingAndLatency:
         # no reload.
         assert second.service_seconds < first.service_seconds
 
-    def test_admission_control_sheds_and_reports(self):
-        service = small_service(
-            pool=AcceleratorPool.homogeneous(1, small_config()),
-            max_queue_depth=2,
-        )
-        matrix = random_uniform(100, 100, 700, seed=12)
-        handle = service.register(matrix)
-        for i in range(8):
-            service.submit(handle, np.ones(100), arrival_time=i * 1e-9)
-        report = service.drain()
-        rejected = report.rejected
-        assert len(rejected) > 0
-        assert all(r.y is None for r in rejected)
-        assert report.telemetry.rejected == len(rejected)
-        assert len(report.completed) + len(rejected) == 8
-
 
 class TestShardedService:
     def test_sharded_matrix_results_verified(self):
