@@ -87,7 +87,8 @@ def test_fast_path_speedup_on_100k_nnz():
     This is the regression guard behind the README's "Simulator execution
     modes" numbers: a 100k-non-zero matrix replayed through both engines on
     one shared program, whose launch plan the warm-up run compiles.  The
-    measured gap is ~700-950x on a 2-core Xeon VM, so the 10x floor has
+    measured gap is ~1,100x on a 2-core Xeon VM (1,088-1,140x: a warm fast
+    launch 0.23-0.24 ms, the reference 0.26-0.27 s), so the 10x floor has
     headroom against CI noise while still catching any change that quietly
     drops the fast path back onto the per-element model.
     """

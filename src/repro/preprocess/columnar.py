@@ -4,9 +4,10 @@ The object form of a :class:`~repro.preprocess.SerpensProgram` — lists of
 :class:`~repro.preprocess.EncodedElement` per lane — is the right shape for
 inspecting individual wire words, but replaying it element by element costs a
 Python function call per encoded slot.  This module packs each segment's lane
-streams into flat NumPy arrays once, so the simulator's fast path can compute
-a whole segment with vectorised fp32 multiplies, a grouped ``np.add.at``
-accumulation, and a sorted issue-cycle scan for the hazard check.
+streams into flat NumPy arrays once, so the simulator's fast path can check
+the whole program with a sorted issue-cycle scan for the hazard window and
+compile it into a row-ordered launch plan, whose launches are vectorised fp32
+gathers, multiplies and adds.
 
 The decode happens once per program (lazily, cached on the program object via
 :meth:`SerpensProgram.columnar`), mirroring how the real deployment amortises
@@ -165,9 +166,10 @@ class ColumnarProgram:
     verdict (total hazard violations) per simulator
     :class:`~repro.preprocess.PartitionParams`, and ``launch_plans`` the
     fast engine's launch plan of a hazard-free program per simulator params
-    (issue-ordered int32 global rows and columns, fp32 values and the
-    launch's x-independent report), so repeated launches of a warm program
-    skip validation and pay only their numerics.  Both are bookkeeping, not
+    (int32 global columns and fp32 values grouped by output row, each row in
+    issue order, laid out as jagged diagonals, plus the launch's
+    x-independent report), so repeated launches of a warm program skip
+    validation and pay only their numerics.  Both are bookkeeping, not
     identity, and are excluded from equality.
     """
 

@@ -24,14 +24,18 @@ Two execution modes produce that result:
   launch on a build makes one vectorised pass over its packed columnar
   streams (:meth:`~repro.preprocess.SerpensProgram.columnar`): it checks
   every address, scans the hazard window with a sorted per-URAM-entry
-  issue-cycle scan, and compiles the program into issue-ordered
-  (global row, global column, fp32 value) triples plus the launch's
-  x-independent report (cycles, traffic, utilisation).  The plan is cached
-  on the columnar program per simulator build, so every later launch is one
-  fp32 multiply and one ``np.add.at`` into a ``num_rows``-long fp32
-  accumulator.  ``np.add.at`` applies repeated indices in array order, which
-  is each accumulator's issue order, so the numerics are bit-identical to
-  the per-element model.
+  issue-cycle scan, and compiles the program into a row-ordered,
+  jagged-diagonal layout of (global column, fp32 value) pairs plus the
+  launch's x-independent report (cycles, traffic, utilisation).  Each
+  output row's elements keep their issue order; the rows are ranked by
+  length, and step ``j`` holds every row's ``j``-th element contiguously.
+  The plan is cached on the columnar program per simulator build, so every
+  later launch gathers x once, adds each step that still has at least
+  :data:`HEAD_MIN_ROWS` rows as one contiguous fp32 slice, and adds the
+  short tail of the longest rows with one ``np.add.at``, which applies
+  repeated indices in array order.  Every row thus sums ``0 + p0 + p1 +
+  ...`` in issue order, so the numerics are bit-identical to the
+  per-element model.
 * ``mode="reference"`` replays every encoded element through the
   :class:`~repro.serpens.pe.ProcessingEngine` datapath model.  It is orders
   of magnitude slower and exists as the verification oracle the fast path is
@@ -111,28 +115,100 @@ class SimulationResult:
         return self.cycles.total
 
 
+#: A jagged-diagonal step joins the plan's head, and is added as one
+#: contiguous slice, only while at least this many rows still have an element
+#: at that step; shorter steps go to the ``np.add.at`` tail, whose per-element
+#: cost beats a slice add's fixed cost on a few rows.
+HEAD_MIN_ROWS = 256
+
+
 @dataclass(frozen=True)
 class _LaunchPlan:
     """A hazard-free program compiled for one simulator build.
 
-    ``rows``, ``cols`` and ``values`` hold every element that lands in the
-    output, in issue order: int32 global output rows (mapped through the
-    simulator's build), int32 global x columns and fp32 matrix values — at
-    most 12 bytes per non-zero, since a one-segment program's values are
-    the program's own array.  ``report`` is the launch's x-independent
-    result (cycles, traffic, utilisation) with an empty ``y``.
+    Every element that lands in the output is stored in jagged-diagonal
+    order: the output rows (mapped through the simulator's build) are ranked
+    by length, longest first, and step ``j`` holds the ``j``-th element, in
+    issue order, of every row longer than ``j``, in rank order.  ``cols``
+    (int32 global x columns) and ``values`` (fp32) are in that order, so
+    each step is one contiguous run.
+
+    The steps that still have at least :data:`HEAD_MIN_ROWS` rows form the
+    *head*; ``head_counts`` gives their lengths.  Each adds into a
+    rank-ordered fp32 accumulator as one slice, which is then scattered to
+    ``head_rows``.  The remaining elements form the *tail*, added by one
+    ``np.add.at`` into ``tail_rows``.  A row's tail elements come after its
+    head ones, so every row still sums ``0 + p0 + p1 + ...`` in issue order,
+    as the datapath does.  The plan holds 8 bytes per non-zero, 4 more per
+    tail element and at most 4 per output row.  ``report`` is the launch's
+    x-independent result (cycles, traffic, utilisation) with an empty ``y``.
     """
 
     num_rows: int
-    rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+    head_counts: Tuple[int, ...]
+    head_rows: np.ndarray
+    tail_rows: np.ndarray
     report: SimulationResult
+
+    @classmethod
+    def from_issue_order(
+        cls,
+        num_rows: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        report: SimulationResult,
+    ) -> "_LaunchPlan":
+        """Lay out elements given in issue order, dropping row ``num_rows``.
+
+        ``rows`` are int32 output rows, with ``num_rows`` standing for every
+        row CompY does not drain; a stable sort groups the elements by row,
+        so each row keeps its issue order and the dropped ones sort last.
+        """
+        order = _stable_order(rows)
+        lengths = np.bincount(rows, minlength=num_rows)[:num_rows]
+        by_length = np.argsort(-lengths, kind="stable").astype(np.int32)
+        # active[j]: rows longer than j, non-increasing in j.  Step j lists
+        # the j-th element of each of them, in rank order, from step_start[j].
+        active = num_rows - np.cumsum(np.bincount(lengths))[:-1]
+        step_start = np.zeros(active.size + 1, dtype=np.int64)
+        np.cumsum(active, out=step_start[1:])
+        # Each plan slot's rank (its row is by_length[rank]) and step: its
+        # element sits at that row's start plus the step in ``order``.
+        rank = np.arange(step_start[-1], dtype=np.int32)
+        rank -= np.repeat(step_start[:-1].astype(np.int32), active)
+        row_start = (np.cumsum(lengths) - lengths)[by_length].astype(np.int32)
+        position = np.take(row_start, rank)
+        position += np.repeat(np.arange(active.size, dtype=np.int32), active)
+        element = np.take(order, position)
+        del order, position
+        head_steps = int(np.count_nonzero(active >= HEAD_MIN_ROWS))
+        tail_start = int(step_start[head_steps])
+        return cls(
+            num_rows=num_rows,
+            cols=np.take(cols, element),
+            values=np.take(values, element),
+            head_counts=tuple(active[:head_steps].tolist()),
+            head_rows=by_length[: int(active[0]) if head_steps else 0],
+            tail_rows=np.take(by_length, rank[tail_start:]),
+            report=report,
+        )
 
     def accumulate(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` with the datapath's fp32 products and accumulation order."""
+        products = np.take(x.astype(np.float32), self.cols)
+        np.multiply(self.values, products, out=products)
         accumulator = np.zeros(self.num_rows, dtype=np.float32)
-        np.add.at(accumulator, self.rows, self.values * x.astype(np.float32)[self.cols])
+        start = 0
+        if self.head_counts:
+            head = np.zeros(self.head_counts[0], dtype=np.float32)
+            for count in self.head_counts:
+                head[:count] += products[start : start + count]
+                start += count
+            accumulator[self.head_rows] = head
+        np.add.at(accumulator, self.tail_rows, products[start:])
         # repro: ignore[RPR201] fp32 accumulation is already complete; the
         # widening here is the float64 output ABI shared with the oracle.
         return accumulator.astype(np.float64)
@@ -413,30 +489,32 @@ class SerpensSimulator:
 
         The plan and the validation verdict are pure functions of (program,
         simulator params), so both are cached on the columnar view and
-        repeated launches skip the O(nnz log nnz) scan entirely.  A violating
-        stream either raises (strict mode) or — since broken-hardware
-        numerics depend on element-by-element stale reads — gets no plan and
-        runs on the reference engine, which models them.
+        repeated launches skip the O(nnz) compile entirely.  A violating
+        stream either raises (strict mode, which compiles again to name the
+        pair) or — since broken-hardware numerics depend on element-by-element
+        stale reads — gets no plan and runs on the reference engine, which
+        models them.
         """
         columnar = program.columnar()
-        if self.params not in columnar.validation_cache:
-            self._compile(program, columnar)
         plan = columnar.launch_plans.get(self.params)
-        if plan is None and self.strict_hazard_check:
-            pe_remap = self._remap_program_pes(program.params)
-            for segment in columnar.segments:  # cold path: re-find the
-                self._scan_hazards(segment, pe_remap, True)  # first pair
+        if plan is None and (
+            self.params not in columnar.validation_cache or self.strict_hazard_check
+        ):
+            self._compile(program, columnar)
+            plan = columnar.launch_plans.get(self.params)
         return plan
 
     def _compile(self, program: SerpensProgram, columnar: ColumnarProgram) -> None:
         """Validate ``program`` on this build and, when clean, cache its plan.
 
         One pass over the packed segments, before any launch state exists:
-        every address is checked against this build, hazard-window
-        violations are counted, and everything a launch needs that does not
-        depend on x is gathered — the traffic and cycles of the x and sparse
-        streams, the per-PE issue counters, and each element's global output
-        row, global column and value.
+        every address is checked against this build, and everything a launch
+        needs that does not depend on x is gathered — the traffic and cycles
+        of the x and sparse streams, the per-PE issue counters, and each
+        element's global output row, global column, value and issue cycle.
+        A stable sort of every element by URAM entry feeds the hazard scan,
+        and a stable sort by output row lists each row's elements in issue
+        order for the plan.
         """
         params = self.params
         pe_remap = self._remap_program_pes(program.params)
@@ -444,18 +522,21 @@ class SerpensSimulator:
         x_channel = self.memory.allocation("dense_x")[0]
         sparse_channels = self.memory.allocation("sparse_A")
 
-        violations = 0
         x_stream_cycles = 0
         compute_cycles = 0
+        issue_cycle = 0  # the reference engine's global cycle
         lane_slots = np.zeros(params.total_pes, dtype=np.int64)
         lane_real = np.zeros(params.total_pes, dtype=np.int64)
         rows: List[np.ndarray] = []
         cols: List[np.ndarray] = []
         values: List[np.ndarray] = []
+        issues: List[np.ndarray] = []
         for segment in columnar.segments:
             segment_length = segment.segment_length
             x_channel.stream_read(4 * segment_length)
-            x_stream_cycles += -(-segment_length // FLOATS_PER_WORD)
+            x_load_cycles = -(-segment_length // FLOATS_PER_WORD)
+            x_stream_cycles += x_load_cycles
+            issue_cycle += x_load_cycles
             for channel, slots in enumerate(segment.channel_slots):
                 sparse_channels[channel].stream_read(
                     8 * int(slots) * params.pes_per_channel
@@ -468,41 +549,54 @@ class SerpensSimulator:
                 np.add.at(lane_slots, pe_remap, segment.lane_slots)
                 np.add.at(lane_real, pe_remap, segment.lane_real)
 
-            if segment.value.size == 0:
-                continue
-            self._check_addresses(segment, params.rows_per_pe)
-            violations += self._scan_hazards(segment, pe_remap, False)
-            pe = segment.pe if pe_remap is None else pe_remap[segment.pe]
-            # Lane-major slot order within a segment, segments in order: each
-            # output row's elements stay in the datapath's accumulation order.
-            row = local_to_global_row(pe, segment.local_row, params)
-            col = segment.column_offset + segment.col_start
-            value = segment.value
-            kept = row < program.num_rows  # the rows CompY drains
-            if not kept.all():
-                row, col, value = row[kept], col[kept], value[kept]
-            rows.append(row.astype(np.int32, copy=False))
-            cols.append(col.astype(np.int32, copy=False))
-            values.append(value)
+            if segment.value.size:
+                self._check_addresses(segment, params.rows_per_pe)
+                pe = segment.pe if pe_remap is None else pe_remap[segment.pe]
+                # Lane-major slot order within a segment, segments in order:
+                # the datapath's processing order, which a stable sort keeps.
+                rows.append(local_to_global_row(pe, segment.local_row, params))
+                cols.append(segment.column_offset + segment.col_start)
+                values.append(segment.value)
+                issues.append(segment.issue_slot + issue_cycle)
+            # The accumulator pipeline drains before the next x segment.
+            issue_cycle += segment.compute_slots + params.dsp_latency
 
-        if not violations:
-            report = self._summarise(
-                program.num_rows,
-                np.empty(0),
-                x_stream_cycles,
-                compute_cycles,
-                lane_slots,
-                lane_real,
-                hazard_violations=0,
+        row, issue = _joined(rows, np.int32), _joined(issues, np.int32)
+        col, value = _joined(cols, np.int32), _joined(values, np.float32)
+        del rows, issues, cols, values
+        # Within one lane, consecutive issues to an entry are always >= 1
+        # slot apart, so a window of 1 cannot be violated.  Under a lane-
+        # collapsing remap a later-processed lane can revisit an entry at an
+        # earlier or equal cycle (diff <= 0 < window), so the scan must run.
+        if row.size > 1 and (params.dsp_latency > 1 or pe_remap is not None):
+            # local_to_global_row puts the rows of one PE's URAM entry at
+            # global rows entry * rows_per_uram_entry + k.
+            entry = row >> 1 if params.coalesce_rows else row
+            by_entry = _stable_order(entry)
+            violations = self._scan_hazards(
+                np.take(entry, by_entry), np.take(issue, by_entry)
             )
-            columnar.launch_plans[params] = _LaunchPlan(
-                num_rows=program.num_rows,
-                rows=_joined(rows, np.int32),
-                cols=_joined(cols, np.int32),
-                values=_joined(values, np.float32),
-                report=report,
-            )
-        columnar.validation_cache[params] = violations
+            del entry, by_entry
+            if violations:
+                columnar.validation_cache[params] = violations
+                return
+        del issue
+
+        report = self._summarise(
+            program.num_rows,
+            np.empty(0),
+            x_stream_cycles,
+            compute_cycles,
+            lane_slots,
+            lane_real,
+            hazard_violations=0,
+        )
+        # Rows CompY does not drain all become row num_rows.
+        row = np.minimum(row, program.num_rows).astype(np.int32, copy=False)
+        columnar.launch_plans[params] = _LaunchPlan.from_issue_order(
+            program.num_rows, row, col, value, report
+        )
+        columnar.validation_cache[params] = 0
 
     def _check_addresses(self, segment: ColumnarSegment, rows_per_pe: int) -> None:
         """Reject elements outside this build's URAM or segment ranges.
@@ -524,58 +618,46 @@ class SerpensSimulator:
                 f"{segment.segment_length}-element x segment"
             )
 
-    def _scan_hazards(
-        self,
-        segment: ColumnarSegment,
-        pe_remap: Optional[np.ndarray],
-        raise_on_violation: bool,
-    ) -> int:
-        """Count hazard-window violations in one segment, vectorised.
+    def _scan_hazards(self, entry: np.ndarray, issue: np.ndarray) -> int:
+        """Count hazard-window violations over the whole program, vectorised.
 
-        Elements are keyed by their URAM entry (per PE) and grouped with a
-        *stable* sort, so within one entry they stay in the per-element
-        model's processing order (lane-major, slot-ascending); consecutive
-        issue-slot differences are then compared against the DSP latency —
-        including the negative differences that arise when a cross-config
-        replay collapses two program lanes onto one PE and a later-processed
-        lane revisits an entry at an earlier cycle, exactly the pairs the
-        reference model's last-issue tracking flags.  Segment boundaries need
-        no special casing: the pipeline drain between segments always exceeds
-        the hazard window.
+        ``entry`` numbers each element's URAM entry (``local entry * total
+        PEs + PE``) and ``issue`` gives its global issue cycle, both sorted
+        *stably* by entry, so within one entry the elements stay in the
+        per-element model's processing order (segment, then lane-major,
+        slot-ascending).  Consecutive issue-cycle differences are then
+        compared against the DSP latency — including the negative
+        differences that arise when a cross-config replay collapses two
+        program lanes onto one PE and a later-processed lane revisits an
+        entry at an earlier cycle, exactly the pairs the reference model's
+        last-issue tracking flags.  Consecutive segments are never closer
+        than the window, because the pipeline drains between them.  In
+        strict mode a violation raises, naming the first pair in entry order.
         """
         window = self.params.dsp_latency
-        if segment.local_row.size < 2:
-            return 0
-        if window <= 1 and pe_remap is None:
-            # Within one lane, consecutive issues to an entry are always >= 1
-            # slot apart, so a window of 1 cannot be violated.  Under a lane-
-            # collapsing remap that shortcut is unsound: a later-processed
-            # lane can revisit an entry at an *earlier or equal* cycle
-            # (diff <= 0 < window), so the scan must run.
-            return 0
-        entries_per_pe = self.params.urams_per_pe * self.params.uram_depth
-        entry = segment.local_row // self.params.rows_per_uram_entry
-        pe = segment.pe.astype(np.int64)
-        if pe_remap is not None:
-            pe = pe_remap[pe]
-        entry_code = pe * entries_per_pe + entry
-        order = np.argsort(entry_code, kind="stable")
-        sorted_code = entry_code[order]
-        sorted_slot = segment.issue_slot[order].astype(np.int64)
-        same_entry = sorted_code[1:] == sorted_code[:-1]
-        too_close = (sorted_slot[1:] - sorted_slot[:-1]) < window
-        violating = same_entry & too_close
+        violating = entry[1:] == entry[:-1]
+        violating &= (issue[1:] - issue[:-1]) < window
         count = int(np.count_nonzero(violating))
-        if count and raise_on_violation:
+        if count and self.strict_hazard_check:
             first = int(np.argmax(violating))
-            code = int(sorted_code[first])
+            pe_entry = divmod(int(entry[first]), self.params.total_pes)
             raise AccumulationHazardError(
-                f"PE {code // entries_per_pe}: URAM entry {code % entries_per_pe} "
-                f"accessed at segment-{segment.segment_index} slots "
-                f"{int(sorted_slot[first])} and {int(sorted_slot[first + 1])}, "
+                f"PE {pe_entry[1]}: URAM entry {pe_entry[0]} accessed at cycles "
+                f"{int(issue[first])} and {int(issue[first + 1])}, "
                 f"closer than the DSP latency {window}"
             )
         return count
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """Positions of the non-negative ``key`` in stable ascending order.
+
+    NumPy radix-sorts 16-bit integers, several times faster than its timsort
+    of wider keys, so a key whose values fit is narrowed first.
+    """
+    if key.size and int(key.max()) < 1 << 16:
+        key = key.astype(np.uint16)
+    return np.argsort(key, kind="stable")
 
 
 def _joined(parts: List[np.ndarray], dtype) -> np.ndarray:

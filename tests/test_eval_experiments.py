@@ -46,6 +46,11 @@ def table4_result():
 
 
 @pytest.fixture(scope="module")
+def table8_result():
+    return run_table8(scale=TEST_SCALE)
+
+
+@pytest.fixture(scope="module")
 def figure3_result():
     return run_figure3(count=150, seed=7)
 
@@ -192,24 +197,24 @@ class TestTable7:
 
 
 class TestTable8:
-    def test_a24_improves_over_graphlily(self):
-        result = run_table8(scale=TEST_SCALE)
+    def test_a24_improves_over_graphlily(self, table8_result):
+        result = table8_result
         assert result.max_improvement > 2.0
         assert result.peak_gflops > 0
         improvements = result.improvements()
         assert len(improvements) == 12
 
-    def test_a24_faster_than_a16(self):
-        a24 = run_table8(scale=TEST_SCALE)
-        a16 = run_table4(scale=TEST_SCALE)
+    def test_a24_faster_than_a16(self, table8_result, table4_result):
+        a24 = table8_result
+        a16 = table4_result
         a16_geomean = a16.geomeans("mteps")["Serpens-A16"]
         from repro.metrics import geomean
 
         a24_geomean = geomean([r.mteps for r in a24.serpens_reports])
         assert a24_geomean > a16_geomean
 
-    def test_render(self):
-        assert "Serpens-A24" in render_table8(run_table8(scale=TEST_SCALE))
+    def test_render(self, table8_result):
+        assert "Serpens-A24" in render_table8(table8_result)
 
 
 class TestFigure2:

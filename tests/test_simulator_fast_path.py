@@ -47,22 +47,32 @@ def small_config(**overrides):
     return SerpensConfig(**defaults)
 
 
+def launch_both(program, config, x, y=None, alpha=1.0, beta=0.0):
+    """One launch of ``program`` on ``config`` through each engine."""
+    fast = SerpensSimulator(config, mode="fast").run(program, x, y, alpha, beta)
+    reference = SerpensSimulator(config, mode="reference").run(
+        program, x, y, alpha, beta
+    )
+    return fast, reference
+
+
 def run_both_modes(matrix, config=None, alpha=1.0, beta=0.0, seed=0, replay_on=None):
     """Run one SpMV through both engines on a shared program.
 
     ``replay_on`` runs the program, built for ``config``, on another build.
     """
     config = config or small_config()
-    simulated = replay_on or config
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, matrix.num_cols)
     y = rng.uniform(-1, 1, matrix.num_rows)
     program = build_program(matrix, config.to_partition_params())
-    fast = SerpensSimulator(simulated, mode="fast").run(program, x, y, alpha, beta)
-    reference = SerpensSimulator(simulated, mode="reference").run(
-        program, x, y, alpha, beta
-    )
+    fast, reference = launch_both(program, replay_on or config, x, y, alpha, beta)
     return fast, reference, (x, y)
+
+
+def launch_plan(program, config):
+    """The fast engine's cached plan of ``program`` on ``config``."""
+    return program.columnar().launch_plans[config.to_partition_params()]
 
 
 def assert_equivalent(fast, reference):
@@ -270,6 +280,95 @@ class TestEquivalenceAcrossGenerators:
         assert_equivalent(fast, reference)
 
 
+class TestJaggedDiagonalPlan:
+    """The plan's head (slice adds), tail (``np.add.at``) and sort paths.
+
+    The generator suite and the small-matrix property above mostly have
+    fewer than :data:`~repro.serpens.simulator.HEAD_MIN_ROWS` non-empty
+    rows, so their plans are all tail; these cases make the head run.
+    """
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_rows=st.integers(min_value=300, max_value=1500),
+        per_row=st.integers(min_value=6, max_value=12),
+        dense_row_share=st.floats(min_value=0.1, max_value=0.5),
+        alpha=st.floats(min_value=-2.0, max_value=2.0),
+        beta=st.floats(min_value=-2.0, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_head_and_tail_property(
+        self, num_rows, per_row, dense_row_share, alpha, beta, seed
+    ):
+        # Hot rows run far past the steps that keep >= 256 rows active, so
+        # each of them adds a head and then a tail, in that order.
+        matrix = random_with_dense_rows(
+            num_rows,
+            num_rows,
+            num_rows * per_row,
+            dense_row_share=dense_row_share,
+            seed=seed,
+        )
+        config = small_config()
+        program = build_program(matrix, config.to_partition_params())
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, matrix.num_cols)
+        y = rng.uniform(-1, 1, matrix.num_rows)
+        fast, reference = launch_both(program, config, x, y, alpha, beta)
+        assert_equivalent(fast, reference)
+        plan = launch_plan(program, config)
+        assert plan.head_counts and plan.tail_rows.size
+
+    def test_equivalence_past_16_bit_sort_keys(self):
+        # More rows than a uint16 holds, and more URAM entries too: both of
+        # the compile's stable sorts take the wide-key path.
+        from repro.serpens import SERPENS_A16
+
+        matrix = random_uniform(140_000, 2_000, 20_000, seed=23)
+        fast, reference, __ = run_both_modes(
+            matrix, config=SERPENS_A16, alpha=1.5, beta=-0.5, seed=23
+        )
+        assert_equivalent(fast, reference)
+
+    def test_negative_zero_products_sum_from_positive_zero(self):
+        # Negative values against x == +0.0 give -0.0 products.  The
+        # datapath adds a row's products to +0.0, so a row of them sums to
+        # +0.0.  beta * y_in is -0.0, so a row summed to -0.0 would stay
+        # -0.0 in y.
+        matrix = random_uniform(
+            600, 600, 3000, seed=24, value_low=-1.0, value_high=-0.5
+        )
+        config = small_config()
+        program = build_program(matrix, config.to_partition_params())
+        rng = np.random.default_rng(24)
+        x = np.zeros(matrix.num_cols)
+        x[::7] = -rng.uniform(0.5, 1.0, x[::7].size)
+        y = -np.ones(matrix.num_rows)
+        fast, reference = launch_both(program, config, x, y, alpha=1.0, beta=0.0)
+        assert_equivalent(fast, reference)
+        assert launch_plan(program, config).head_counts
+        zero_rows = fast.y == 0
+        assert zero_rows.sum() > 100 and not np.signbit(fast.y[zero_rows]).any()
+
+    def test_head_replayed_on_a_wider_build(self):
+        # The wider build maps many rows past num_rows; CompY drops them, so
+        # the plan keeps fewer elements than the matrix has, head included.
+        matrix = random_uniform(2000, 2000, 12_000, seed=25)
+        program = build_program(matrix, small_config().to_partition_params())
+        rng = np.random.default_rng(25)
+        x = rng.uniform(-1, 1, matrix.num_cols)
+        y = rng.uniform(-1, 1, matrix.num_rows)
+        fast, reference = launch_both(program, WIDER_BUILD, x, y, 1.5, -0.5)
+        assert_equivalent(fast, reference)
+        plan = launch_plan(program, WIDER_BUILD)
+        assert plan.head_counts
+        assert plan.cols.size < matrix.nnz
+
+
 class TestHazardParity:
     """Both engines must agree on streams that violate the hazard window."""
 
@@ -405,6 +504,38 @@ class TestLaunchPlan:
         assert second.traffic_by_role is not first.traffic_by_role
         reference = SerpensSimulator(config, mode="reference").run(program, x)
         assert_equivalent(second, reference)
+
+    def test_warm_launches_return_fresh_outputs(self):
+        # Callers keep and compare earlier answers (a benchmark checks every
+        # repeated launch bitwise against the first), so a launch must never
+        # hand out a buffer a later launch writes into.
+        config = small_config()
+        matrix = random_uniform(1000, 1000, 8000, seed=26)
+        program = build_program(matrix, config.to_partition_params())
+        simulator = SerpensSimulator(config)
+        x = np.random.default_rng(26).uniform(-1, 1, matrix.num_cols)
+        first = simulator.run(program, x).y
+        second = simulator.run(program, x).y
+        assert launch_plan(program, config).head_counts
+        assert not np.shares_memory(first, second)
+        expected = second.tobytes()
+        first[:] = 7.0
+        assert second.tobytes() == expected
+        assert simulator.run(program, x).y.tobytes() == expected
+
+    def test_plan_holds_eight_bytes_per_kept_nonzero_plus_its_tail(self):
+        # A multi-segment program: the values are gathered into plan order,
+        # and no issue-ordered row array is kept.
+        config = small_config()
+        matrix = random_uniform(1000, 1000, 20_000, seed=27)
+        program = build_program(matrix, config.to_partition_params())
+        assert len(program.columnar().segments) > 1
+        SerpensSimulator(config).run(program, np.ones(matrix.num_cols))
+        plan = launch_plan(program, config)
+        held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+        kept, tail = plan.cols.size, plan.tail_rows.size
+        assert kept == matrix.nnz and tail < kept // 4
+        assert held <= 8 * kept + 4 * tail + 4 * matrix.num_rows
 
     def test_warm_launch_allocates_only_its_numerics(self):
         # A warm Serpens-A16 launch of a ~2k-nnz matrix: with the PE array
