@@ -47,7 +47,7 @@ def test_prepare_speedup_on_100k_nnz(bench_matrix):
     Both sides are measured to the same deliverable: a program whose packed
     columnar form is ready for the fast simulator (the fast builder produces
     it natively; the reference pipeline pays the extra object decode).  The
-    measured gap is ~12-20x, so the 10x floor has headroom against CI noise
+    measured gap is ~22-24x, so the 10x floor has headroom against CI noise
     while still catching any change that quietly drops the prepare path back
     onto per-element Python.
     """

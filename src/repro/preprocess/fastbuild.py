@@ -11,11 +11,11 @@ to slot order, padding bubbles and reorder statistics — with array passes:
   (:func:`repro.preprocess.map_rows` plus one composite-key sort),
 * the hazard-window scheduler reproduces
   :func:`~repro.preprocess.schedule_conflict_free`'s longest-queue-first
-  greedy with a window-bucketed simulation: only *contended* conflict keys
-  (two or more elements in a lane) are stepped cycle by cycle — in lock-step
-  across every lane of every segment at once — while the long tail of
-  single-element keys is scheduled analytically as the sorted "parade" the
-  greedy degenerates to once contention drains,
+  greedy: only *contended* conflict keys (two or more elements in a lane) are
+  stepped cycle by cycle — in lock-step across every lane of every segment
+  at once — while the long tail of single-element keys is scheduled
+  analytically as the sorted "parade" the greedy degenerates to, and a lane
+  leaves the loop as soon as the rest of its schedule has a closed form,
 * the packed :class:`~repro.preprocess.ColumnarProgram` is assembled directly
   from the scheduled arrays; the per-element object form is only materialised
   lazily if a consumer asks for it.
@@ -25,15 +25,25 @@ ready key with the largest remaining count (ties by smallest key).  Keys with
 one element never re-enter cooldown, so among them the greedy always prefers
 the smallest — a sorted parade consumed head-first.  Keys with two or more
 elements ("hot" keys) are the only source of cooldown and padding, so they
-are simulated exactly; once every hot key of a lane is down to at most one
-remaining element *and* out of its hazard window, every remaining element is
-ready forever and the greedy provably pops them in ascending key order with
-no further padding — that suffix is emitted in one vectorised pass.
+are simulated exactly until their lane reaches one of two states that last:
+
+* *quiesced* — every hot key is down to at most one element and out of its
+  hazard window, so every remaining element is ready forever and the greedy
+  pops them in ascending key order with no further padding;
+* *locked* — the parade is spent and every key still holding elements was
+  issued within the last ``window`` cycles, so releases are distinct, the
+  released key is the only one ready, and each key issues its remaining
+  elements at ``release, release + window, ...``.  A lane with no parade and
+  at most ``window`` hot keys is locked from cycle 0, its keys issued first
+  in priority order.
+
+Small matrices mostly have lanes of the second kind, so their builds step few
+or no cycles; each state is emitted in one vectorised pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -97,17 +107,13 @@ def schedule_lane_issue_slots(
     order = _stable_lane_key_order(lane, key)
     gs = lane[order]
     ks = key[order]
-    newgrp = np.r_[True, (gs[1:] != gs[:-1]) | (ks[1:] != ks[:-1])]
-    grp_start = np.flatnonzero(newgrp)
-    grp_count = np.diff(np.r_[grp_start, n])
-    grp_lane_g = gs[grp_start]
-    grp_key = ks[grp_start]
+    grp_start = _run_starts(gs, ks)
+    grp_count = np.diff(np.append(grp_start, n))
 
     # Compact lane numbering over the lanes actually present.
-    lane_newgrp = np.r_[True, grp_lane_g[1:] != grp_lane_g[:-1]]
-    num_lanes = int(np.count_nonzero(lane_newgrp))
-    grp_lane = np.cumsum(lane_newgrp) - 1
-    els_lane = np.repeat(grp_lane, grp_count)
+    grp_lane_g = gs[grp_start]
+    grp_lane = np.concatenate(([0], np.cumsum(grp_lane_g[1:] != grp_lane_g[:-1])))
+    num_lanes = int(grp_lane[-1]) + 1
 
     issue_s = np.full(n, -1, dtype=np.int64)
     quiesce_t = np.zeros(num_lanes, dtype=np.int64)
@@ -115,29 +121,29 @@ def schedule_lane_issue_slots(
     multi = grp_count >= 2
     if multi.any():
         quiesce_t = _simulate_contention(
-            issue_s,
-            grp_start,
-            grp_count,
-            grp_key,
-            grp_lane,
-            multi,
-            num_lanes,
-            int(ks.max()),
-            window,
+            issue_s, grp_start, grp_count, grp_lane, multi, num_lanes, window
         )
 
     # Quiesced tail: every remaining element is the last of its key and out
     # of cooldown, so the greedy pops them consecutively in ascending key
     # order — which is exactly the (lane, key)-sorted residue of issue_s.
-    tail = np.flatnonzero(issue_s == -1)
+    tail = (issue_s == -1).nonzero()[0]
     if tail.size:
-        tl = els_lane[tail]
-        tstarts = np.flatnonzero(np.r_[True, tl[1:] != tl[:-1]])
-        tsizes = np.diff(np.r_[tstarts, tail.size])
+        tl = np.repeat(grp_lane, grp_count)[tail]
+        tstarts = _run_starts(tl)
+        tsizes = np.diff(np.append(tstarts, tail.size))
         ranks = np.arange(tail.size) - np.repeat(tstarts, tsizes)
         issue_s[tail] = quiesce_t[tl] + ranks
     issue[order] = issue_s
     return issue
+
+
+def _run_starts(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Start index of every run of equal values (equal pairs with ``b``)."""
+    change = a[1:] != a[:-1]
+    if b is not None:
+        change |= b[1:] != b[:-1]
+    return np.concatenate(([0], change.nonzero()[0] + 1))
 
 
 def _stable_lane_key_order(lane: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -160,119 +166,145 @@ def _simulate_contention(
     issue_s: np.ndarray,
     grp_start: np.ndarray,
     grp_count: np.ndarray,
-    grp_key: np.ndarray,
     grp_lane: np.ndarray,
     multi: np.ndarray,
     num_lanes: int,
-    max_key: int,
     window: int,
 ) -> np.ndarray:
-    """Cycle-step the contended keys of every lane in lock-step.
+    """Cycle-step the hot keys of every lane in lock-step.
 
-    Hot keys (two or more elements) are tracked with remaining count,
-    cooldown release cycle and priority; the per-lane head of the sorted
-    single-element "parade" competes as one extra candidate.  Every cycle
-    pops at most one winner per lane, exactly as the reference greedy.
-    Returns the per-lane quiesce cycle from which the analytic tail runs.
+    State lives in the compact space of lanes that own a hot key (two or
+    more elements).  A hot key keeps only its priority: remaining count,
+    then smallest key, with a reversed (lane, key) rank in the low bits so
+    that a lane's best priority names its winner.  ``eprio`` holds
+    it while the key is ready; a key issued at cycle ``t`` comes back from
+    ``ring[t % window]`` at ``t + window``.  The head of each lane's sorted
+    single-element "parade" competes as one extra candidate, and every
+    cycle pops at most one winner per lane, exactly as the reference greedy.
+
+    Quiesced and locked lanes (see the module docstring) persist, so they
+    are looked for every ``window`` cycles and retired in one vectorised
+    pass: a locked lane's remaining slots are written here, a quiesced
+    lane's by the caller's tail from the returned per-lane cycle.
     """
-    FAR = np.int64(1) << 60
-    # Priority = count * M + (M - 1 - key): count-major, then smallest key.
-    M = np.int64(1) << max(max_key, 1).bit_length()
-
-    hot_sel = np.flatnonzero(multi)
-    hot_lane = grp_lane[hot_sel]
-    hot_count = grp_count[hot_sel].astype(np.int64)
-    hot_start = grp_start[hot_sel]
-    hot_used = np.zeros(hot_sel.size, dtype=np.int64)
-    hot_release = np.zeros(hot_sel.size, dtype=np.int64)  # FAR once depleted
-    hot_prio = hot_count * M + (M - 1 - grp_key[hot_sel])
-
-    single_sel = np.flatnonzero(~multi)
-    par_elem = grp_start[single_sel]
-    par_key = grp_key[single_sel]
-    par_lane = grp_lane[single_sel]
-    lanes = np.arange(num_lanes)
-    par_end = np.searchsorted(par_lane, lanes, side="right")
-    par_ptr = np.searchsorted(par_lane, lanes)
-
-    # Hot groups are (lane, key)-sorted, so each lane owns one contiguous run.
-    hot_lanes_u, hot_seg_start = np.unique(hot_lane, return_index=True)
-
-    # Quiescence is tracked event-wise: the number of keys still above count
-    # one, and the latest cooldown release among keys with one element left.
-    lane_multi2 = np.bincount(hot_lane, minlength=num_lanes)
-    lane_pending = np.zeros(num_lanes, dtype=np.int64)
-    active = np.zeros(num_lanes, dtype=bool)
-    active[hot_lanes_u] = True
-    n_active = int(active.sum())
-    n_depleted = 0
+    hot = multi.nonzero()[0]
+    shift = (2 * hot.size).bit_length()
+    low_mask = (1 << shift) - 1
+    one = 1 << shift
+    seg_start = _run_starts(grp_lane[hot])
+    seg_end = np.append(seg_start[1:], hot.size)
+    lanes_u = grp_lane[hot[seg_start]]
+    hot_end = grp_start[hot] + grp_count[hot]
+    # Hot key i ranks 2 * (H - 1 - i) + 1; a single between hot keys i - 1
+    # and i ranks 2 * (H - i), so ranks fall as keys rise within a lane.
+    low = 2 * (hot.size - 1 - np.arange(hot.size)) + 1
+    prio = (grp_count[hot] << shift) | low
+    eprio = prio.copy()  # the priority while ready, -1 while cooling down
+    hot_of_low = np.zeros(2 * hot.size, dtype=np.int64)
+    hot_of_low[low] = np.arange(hot.size)
+    lane_release = np.zeros(lanes_u.size, dtype=np.int64)
+    active = np.ones(lanes_u.size, dtype=bool)
     quiesce_t = np.zeros(num_lanes, dtype=np.int64)
 
-    t = np.int64(0)
-    while n_active:
-        elig = hot_release <= t
-        eprio = np.where(elig, hot_prio, np.int64(-1))
-        seg_max = np.maximum.reduceat(eprio, hot_seg_start)
-        lane_hot_max = np.full(num_lanes, -1, dtype=np.int64)
-        lane_hot_max[hot_lanes_u] = seg_max
+    # Each hot lane's parade, in key order, then a -1 sentinel.
+    head = np.full(lanes_u.size, -1, dtype=np.int64)
+    single = (~multi).nonzero()[0]
+    if single.size:
+        hot_of_lane = np.full(num_lanes, -1, dtype=np.int64)
+        hot_of_lane[lanes_u] = np.arange(lanes_u.size)
+        single_hl = hot_of_lane[grp_lane[single]]
+        single, single_hl = single[single_hl >= 0], single_hl[single_hl >= 0]
+        at = np.arange(single.size) + single_hl
+        par_len = np.bincount(single_hl, minlength=lanes_u.size) + 1
+        par_ptr = np.cumsum(par_len) - par_len
+        par_prio = np.full(at.size + lanes_u.size, -1, dtype=np.int64)
+        par_prio[at] = one | (2 * (hot.size - np.searchsorted(hot, single)))
+        par_elem = np.zeros(at.size + lanes_u.size, dtype=np.int64)
+        par_elem[at] = grp_start[single]
+        head = par_prio[par_ptr]
 
-        has_head = active & (par_ptr < par_end)
-        if par_key.size:
-            safe_ptr = np.minimum(par_ptr, par_key.size - 1)
-            head_prio = np.where(
-                has_head, M + (M - 1 - par_key[safe_ptr]), np.int64(-1)
+    def retire(lanes: np.ndarray, release: Optional[np.ndarray]) -> None:
+        """Drop ``lanes`` from the loop; issue locked lanes' remaining keys."""
+        keys = _concat_ranges(seg_start[lanes], seg_end[lanes])
+        if release is not None:
+            left = prio[keys] >> shift
+            keys, left = keys[left > 0], left[left > 0]
+            j = np.arange(int(left.sum())) - np.repeat(np.cumsum(left) - left, left)
+            issue_s[np.repeat(hot_end[keys] - left, left) + j] = (
+                np.repeat(release[keys], left) + window * j
             )
-        else:
-            head_prio = np.full(num_lanes, -1, dtype=np.int64)
+        prio[keys] = -1
+        eprio[keys] = -1
+        head[lanes] = -1
+        active[lanes] = False
 
-        hot_wins_lane = active & (lane_hot_max > head_prio)
-        par_wins_lane = active & (head_prio > lane_hot_max)
+    # Locked from cycle 0: a lane with no parade and at most ``window`` keys
+    # issues them in priority order, and none comes back before all are out.
+    sizes = seg_end - seg_start
+    lanes = ((sizes <= window) & (head < 0)).nonzero()[0]
+    if lanes.size:
+        keys = _concat_ranges(seg_start[lanes], seg_end[lanes])
+        n = sizes[lanes]
+        release = np.empty(hot.size, dtype=np.int64)
+        release[keys[np.lexsort((-prio[keys], np.repeat(lanes, n)))]] = np.arange(
+            keys.size
+        ) - np.repeat(np.cumsum(n) - n, n)
+        retire(lanes, release)
 
-        if hot_wins_lane.any():
-            # Ties are impossible: priorities embed the (unique) key.
-            winner_prio = np.where(hot_wins_lane, lane_hot_max, np.int64(-2))
-            widx = np.flatnonzero(eprio == winner_prio[hot_lane])
-            issue_s[hot_start[widx] + hot_used[widx]] = t
-            hot_used[widx] += 1
-            hot_count[widx] -= 1
-            hot_prio[widx] -= M
-            depleted = hot_count[widx] == 0
-            hot_release[widx] = np.where(depleted, FAR, t + window)
-            wl = hot_lane[widx]
-            np.subtract.at(lane_multi2, wl[hot_count[widx] == 1], 1)
-            lane_pending[wl[~depleted]] = t + window
-            n_depleted += int(np.count_nonzero(depleted))
-        if par_wins_lane.any():
-            lidx = np.flatnonzero(par_wins_lane)
-            issue_s[par_elem[par_ptr[lidx]]] = t
-            par_ptr[lidx] += 1
+    ring = [hot[:0]] * window  # keys issued at t - window come back at t
+    t = 0
+    while True:
+        slot = t % window
+        if slot == 0:
+            if t:
+                quiet = np.maximum.reduceat(prio, seg_start) < 2 * one
+                lanes = (active & quiet & (lane_release <= t)).nonzero()[0]
+                if lanes.size:
+                    quiesce_t[lanes_u[lanes]] = t
+                    retire(lanes, None)
+                ready = np.maximum.reduceat(eprio, seg_start)
+                lanes = (active & (ready < 0) & (head < 0)).nonzero()[0]
+                if lanes.size:
+                    # Cooling keys sit in the ring by release: t, t + 1, ...
+                    release = np.empty(hot.size, dtype=np.int64)
+                    for d, keys in enumerate(ring):
+                        release[keys] = t + d
+                    retire(lanes, release)
+            if not active.any():
+                return quiesce_t
+            parade = bool((head >= 0).any())
+        back = ring[slot]
+        eprio[back] = prio[back]
+        best = np.maximum.reduceat(eprio, seg_start)
 
-        newly = active & (lane_multi2 == 0) & (lane_pending <= t + 1)
-        if newly.any():
-            quiesce_t[newly] = t + 1
-            active &= ~newly
-            n_active -= int(np.count_nonzero(newly))
+        wl = (best > head).nonzero()[0]
+        widx = hot_of_low[best[wl] & low_mask]
+        p = prio[widx]
+        left = p >> shift
+        issue_s[hot_end[widx] - left] = t
+        prio[widx] = p - one
+        eprio[widx] = -1
+        again = left > 1
+        ring[slot] = widx[again]
+        lane_release[wl[again]] = t + window
 
-        # Compact inert state out of the hot arrays: depleted keys (their
-        # last element is popped, release pinned at FAR) and keys of lanes
-        # that already quiesced.  Both are pure dead weight for every
-        # remaining per-cycle pass.
-        if (
-            n_active
-            and hot_count.size > 1024
-            and (2 * n_depleted > hot_count.size or 3 * n_active < hot_lanes_u.size)
-        ):
-            keep = (hot_count > 0) & active[hot_lane]
-            hot_lane = hot_lane[keep]
-            hot_count = hot_count[keep]
-            hot_start = hot_start[keep]
-            hot_used = hot_used[keep]
-            hot_release = hot_release[keep]
-            hot_prio = hot_prio[keep]
-            hot_lanes_u, hot_seg_start = np.unique(hot_lane, return_index=True)
-            n_depleted = 0
+        if parade:
+            pl = (head > best).nonzero()[0]
+            if pl.size:
+                ptr = par_ptr[pl]
+                issue_s[par_elem[ptr]] = t
+                ptr += 1
+                par_ptr[pl] = ptr
+                head[pl] = par_prio[ptr]
         t += 1
-    return quiesce_t
+
+
+def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``np.r_[starts[0]:ends[0], starts[1]:ends[1], ...]`` in one pass."""
+    sizes = ends - starts
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(
+        int(sizes.sum())
+    )
 
 
 def build_program_fast(matrix: COOMatrix, params: PartitionParams) -> "SerpensProgram":

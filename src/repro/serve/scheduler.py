@@ -87,6 +87,7 @@ class Scheduler:
         self.max_batch = max_batch
         self.tracer = tracer
         self._queues: "OrderedDict[str, Deque[Request]]" = OrderedDict()
+        self._depth = 0
         self._cost_fn: Optional[Callable[[str], float]] = None
         self._seq = 0
         self._sjf_fallback_warned = False
@@ -109,8 +110,12 @@ class Scheduler:
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        """Requests currently queued."""
-        return sum(len(q) for q in self._queues.values())
+        """Requests currently queued.
+
+        A running count, kept by :meth:`admit`, :meth:`next_batch` and
+        :meth:`expire`, so every serving-loop step reads it in O(1).
+        """
+        return self._depth
 
     def admit(self, request: Request) -> None:
         """Queue a request.
@@ -124,7 +129,8 @@ class Scheduler:
             self._has_deadlines = True
         self._queues.setdefault(request.fingerprint, deque()).append(request)
         self.admitted += 1
-        self.peak_depth = max(self.peak_depth, self.depth)
+        self._depth += 1
+        self.peak_depth = max(self.peak_depth, self._depth)
         self._trace_admission("admit", request)
 
     def expire(self, now: float) -> List[Request]:
@@ -152,6 +158,7 @@ class Scheduler:
                 else:
                     del self._queues[fingerprint]
         self.rejected += len(expired)
+        self._depth -= len(expired)
         for request in expired:
             self._trace_admission("shed", request, reason="deadline_expired")
         return expired
@@ -217,6 +224,7 @@ class Scheduler:
         batch = [queue.popleft() for __ in range(min(self.max_batch, len(queue)))]
         if not queue:
             del self._queues[fingerprint]
+        self._depth -= len(batch)
         self.dispatched += len(batch)
         self.batches += 1
         self.dispatch_counts[fingerprint] = (

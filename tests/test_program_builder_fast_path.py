@@ -251,9 +251,66 @@ class TestVectorizedScheduler:
                     fast, self.reference_slots(lanes, keys, window)
                 )
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data(), window=st.integers(2, 8), negative=st.booleans())
+    def test_lock_boundary_property(self, data, window, negative):
+        # Lanes of 1 to window + 2 hot keys, some with a few singles: lanes
+        # with at most `window` keys and no singles lock at once, larger ones
+        # lock once enough keys drain, and lanes with singles never lock.
+        lanes, keys = [], []
+        for lane in range(data.draw(st.integers(1, 4))):
+            counts = data.draw(
+                st.lists(st.integers(2, 40), min_size=1, max_size=window + 2)
+            )
+            singles = data.draw(st.sampled_from([0, 0, 1, 3]))
+            values = data.draw(
+                st.lists(
+                    st.integers(0, 60),
+                    min_size=len(counts) + singles,
+                    max_size=len(counts) + singles,
+                    unique=True,
+                )
+            )
+            lane_keys = np.r_[np.repeat(values[: len(counts)], counts), values[len(counts) :]]
+            lanes.append(np.full(lane_keys.size, lane))
+            keys.append(lane_keys - (30 if negative else 0))
+        lane_ids = np.concatenate(lanes)
+        key_ids = np.concatenate(keys).astype(np.int64)
+        perm = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(
+            lane_ids.size
+        )
+        lane_ids, key_ids = lane_ids[perm], key_ids[perm]
+        fast = schedule_lane_issue_slots(lane_ids, key_ids, window)
+        assert np.array_equal(fast, self.reference_slots(lane_ids, key_ids, window))
+
+    def test_early_locked_lane_beside_a_long_contended_lane(self):
+        # Lane 0 holds two hot keys and nothing else: from cycle 2 on both
+        # keys cool down at once, so each issues every `window` cycles.
+        # Lane 1 keeps singles and more than `window` hot keys for hundreds
+        # of cycles, so the lanes are scheduled side by side throughout.
+        window = 4
+        lane0 = np.repeat([5, 9], [30, 25])
+        rng = np.random.default_rng(4)
+        lane1 = np.r_[np.repeat(np.arange(6) * 2, [90, 80, 80, 70, 60, 50]), 1 + 2 * np.arange(20)]
+        lane_ids = np.r_[np.zeros(lane0.size, dtype=np.int64), np.ones(lane1.size, dtype=np.int64)]
+        key_ids = np.r_[lane0, lane1]
+        perm = rng.permutation(lane_ids.size)
+        lane_ids, key_ids = lane_ids[perm], key_ids[perm]
+        fast = schedule_lane_issue_slots(lane_ids, key_ids, window)
+        assert np.array_equal(fast, self.reference_slots(lane_ids, key_ids, window))
+        # The busier key goes first; every key then issues once per window.
+        for key, first in ((5, 0), (9, 1)):
+            mine = np.sort(fast[(lane_ids == 0) & (key_ids == key)])
+            assert np.array_equal(mine, first + window * np.arange(mine.size))
+        assert fast[lane_ids == 1].max() >= 400
+
     def test_large_staggered_lanes_exercise_compaction(self):
-        # Enough hot groups to cross the simulator's compaction threshold,
-        # with lane sizes staggered so lanes quiesce at very different times.
+        # Many hot groups, with lane sizes staggered so lanes quiesce or lock
+        # at very different times while the others keep being stepped.
         rng = np.random.default_rng(21)
         lanes, keys = [], []
         for lane in range(24):

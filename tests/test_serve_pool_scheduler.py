@@ -299,3 +299,20 @@ class TestSchedulerAccounting:
             assert stats["rejected"] == expired
             assert stats["depth"] == depth
             assert stats["peak_depth"] == peak
+        # The depth is a running count, so it agrees with this model even if
+        # a request silently fell out of a queue.  Drain everything and check
+        # that each admitted request left exactly once and nothing is left.
+        while True:
+            gone = scheduler.next_batch()
+            if not gone:
+                break
+            ids = [r.request_id for r in gone]
+            assert len(set(ids)) == len(ids) and left.isdisjoint(ids)
+            left.update(ids)
+        ids = [r.request_id for r in scheduler.expire(float("inf"))]
+        assert len(set(ids)) == len(ids) and left.isdisjoint(ids)
+        left.update(ids)
+        assert left == set(range(admitted))
+        assert scheduler.depth == 0
+        assert scheduler.stats()["depth"] == 0
+        assert scheduler.queued_fingerprints() == []
