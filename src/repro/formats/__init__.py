@@ -1,9 +1,11 @@
 """Sparse matrix formats used throughout the Serpens reproduction.
 
-The accelerator pipeline consumes :class:`COOMatrix` streams; the CPU and GPU
-baselines consume :class:`CSRMatrix`; the segment partitioner uses
-:class:`CSCMatrix` views.  Matrix Market I/O is provided so users with real
-SuiteSparse downloads can feed them straight into the simulator.
+The accelerator pipeline, segment partitioner included, consumes
+:class:`COOMatrix` arrays; the CPU and GPU baselines consume
+:class:`CSRMatrix`; :class:`CSCMatrix` is the column-major view, exported
+for callers and used by no pipeline stage.  Matrix Market I/O is provided
+so users with real SuiteSparse downloads can feed them straight into the
+simulator.
 """
 
 from .coo import COOMatrix

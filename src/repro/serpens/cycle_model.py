@@ -27,6 +27,7 @@ from typing import Dict
 import numpy as np
 
 from ..formats import COOMatrix
+from ..hbm import FLOATS_PER_WORD
 from ..preprocess import PartitionParams, map_rows, partition_statistics
 from .config import SerpensConfig
 
@@ -37,10 +38,6 @@ __all__ = [
     "estimate_hazard_slots",
     "detailed_cycles",
 ]
-
-#: FP32 values carried by one 512-bit vector word.
-_FLOATS_PER_WORD = 16
-
 
 @dataclass(frozen=True)
 class CycleBreakdown:
@@ -94,8 +91,8 @@ def analytic_cycles(num_rows: int, num_cols: int, nnz: int, config: SerpensConfi
     """
     if num_rows < 0 or num_cols < 0 or nnz < 0:
         raise ValueError("matrix dimensions and nnz must be non-negative")
-    x_cycles = -(-num_cols // _FLOATS_PER_WORD)
-    y_cycles = -(-num_rows // _FLOATS_PER_WORD)
+    x_cycles = -(-num_cols // FLOATS_PER_WORD)
+    y_cycles = -(-num_rows // FLOATS_PER_WORD)
     compute = -(-nnz // config.total_pes) if nnz else 0
     return CycleBreakdown(
         x_stream_cycles=x_cycles,
@@ -173,8 +170,8 @@ def detailed_cycles(
     params = config.to_partition_params()
     stats = partition_statistics(matrix, params)
 
-    x_cycles = -(-matrix.num_cols // _FLOATS_PER_WORD)
-    y_cycles = -(-matrix.num_rows // _FLOATS_PER_WORD)
+    x_cycles = -(-matrix.num_cols // FLOATS_PER_WORD)
+    y_cycles = -(-matrix.num_rows // FLOATS_PER_WORD)
 
     if include_hazards and matrix.nnz:
         compute = estimate_hazard_slots(matrix, params)

@@ -29,13 +29,17 @@ Two execution modes produce that result:
   launch's x-independent report (cycles, traffic, utilisation).  Each
   output row's elements keep their issue order; the rows are ranked by
   length, and step ``j`` holds every row's ``j``-th element contiguously.
-  The plan is cached on the columnar program per simulator build, so every
-  later launch gathers x once, adds each step that still has at least
-  :data:`HEAD_MIN_ROWS` rows as one contiguous fp32 slice, and adds the
-  short tail of the longest rows with one ``np.add.at``, which applies
-  repeated indices in array order.  Every row thus sums ``0 + p0 + p1 +
-  ...`` in issue order, so the numerics are bit-identical to the
-  per-element model.
+  The columns are stored as native ``np.intp`` indices, so a launch gathers
+  x through them without converting them first.  The plan is cached on the
+  columnar program per simulator build, so every later launch gathers x
+  once and adds the steps that still have at least :data:`HEAD_MIN_ROWS`
+  rows run by run: each run of consecutive steps of equal width is one
+  C-contiguous ``(steps, width)`` block, added onto the running sums and
+  reduced over its steps, which NumPy does one step at a time in step
+  order.  The short tail of the longest rows is added with one
+  ``np.add.at``, which applies repeated indices in array order.  Every row
+  thus sums ``0 + p0 + p1 + ...`` in issue order, so the numerics are
+  bit-identical to the per-element model.
 * ``mode="reference"`` replays every encoded element through the
   :class:`~repro.serpens.pe.ProcessingEngine` datapath model.  It is orders
   of magnitude slower and exists as the verification oracle the fast path is
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -115,10 +120,10 @@ class SimulationResult:
         return self.cycles.total
 
 
-#: A jagged-diagonal step joins the plan's head, and is added as one
-#: contiguous slice, only while at least this many rows still have an element
+#: A jagged-diagonal step joins the plan's head, and is added as part of a
+#: contiguous block, only while at least this many rows still have an element
 #: at that step; shorter steps go to the ``np.add.at`` tail, whose per-element
-#: cost beats a slice add's fixed cost on a few rows.
+#: cost beats a block add's fixed cost on a few rows.
 HEAD_MIN_ROWS = 256
 
 
@@ -130,24 +135,28 @@ class _LaunchPlan:
     order: the output rows (mapped through the simulator's build) are ranked
     by length, longest first, and step ``j`` holds the ``j``-th element, in
     issue order, of every row longer than ``j``, in rank order.  ``cols``
-    (int32 global x columns) and ``values`` (fp32) are in that order, so
-    each step is one contiguous run.
+    (``np.intp`` global x columns, which ``np.take`` uses as they are) and
+    ``values`` (fp32) are in that order, so each step is one contiguous run.
 
     The steps that still have at least :data:`HEAD_MIN_ROWS` rows form the
-    *head*; ``head_counts`` gives their lengths.  Each adds into a
-    rank-ordered fp32 accumulator as one slice, which is then scattered to
-    ``head_rows``.  The remaining elements form the *tail*, added by one
-    ``np.add.at`` into ``tail_rows``.  A row's tail elements come after its
-    head ones, so every row still sums ``0 + p0 + p1 + ...`` in issue order,
-    as the datapath does.  The plan holds 8 bytes per non-zero, 4 more per
-    tail element and at most 4 per output row.  ``report`` is the launch's
-    x-independent result (cycles, traffic, utilisation) with an empty ``y``.
+    *head*.  ``head_blocks`` lists it as ``(steps, count)`` runs of
+    consecutive steps with the same row count, so each run is one
+    C-contiguous ``(steps, count)`` block of products.  A block's first step
+    adds the rank-ordered fp32 running sums, and ``np.add.reduce`` over its
+    steps then adds one step at a time, in step order, back into them; the
+    sums are finally scattered to ``head_rows``.  The remaining elements
+    form the *tail*, added by one ``np.add.at`` into ``tail_rows``.  A row's
+    tail elements come after its head ones, so every row still sums ``0 + p0
+    + p1 + ...`` in issue order, as the datapath does.  The plan holds 12
+    bytes per non-zero, 4 more per tail element and at most 4 per output
+    row.  ``report`` is the launch's x-independent result (cycles, traffic,
+    utilisation) with an empty ``y``.
     """
 
     num_rows: int
     cols: np.ndarray
     values: np.ndarray
-    head_counts: Tuple[int, ...]
+    head_blocks: Tuple[Tuple[int, int], ...]
     head_rows: np.ndarray
     tail_rows: np.ndarray
     report: SimulationResult
@@ -188,9 +197,12 @@ class _LaunchPlan:
         tail_start = int(step_start[head_steps])
         return cls(
             num_rows=num_rows,
-            cols=np.take(cols, element),
+            cols=np.take(cols, element).astype(np.intp),
             values=np.take(values, element),
-            head_counts=tuple(active[:head_steps].tolist()),
+            head_blocks=tuple(
+                (len(list(run)), count)
+                for count, run in groupby(active[:head_steps].tolist())
+            ),
             head_rows=by_length[: int(active[0]) if head_steps else 0],
             tail_rows=np.take(by_length, rank[tail_start:]),
             report=report,
@@ -202,11 +214,19 @@ class _LaunchPlan:
         np.multiply(self.values, products, out=products)
         accumulator = np.zeros(self.num_rows, dtype=np.float32)
         start = 0
-        if self.head_counts:
-            head = np.zeros(self.head_counts[0], dtype=np.float32)
-            for count in self.head_counts:
-                head[:count] += products[start : start + count]
-                start += count
+        if self.head_blocks:
+            head = np.zeros(self.head_blocks[0][1], dtype=np.float32)
+            for steps, count in self.head_blocks:
+                sums = head[:count]
+                if steps == 1:
+                    sums += products[start : start + count]
+                else:
+                    block = products[start : start + steps * count].reshape(steps, count)
+                    # The running sum plus the first step, operands in that
+                    # order; the reduce then adds each later step onto it.
+                    np.add(sums, block[0], out=block[0])
+                    np.add.reduce(block, axis=0, out=sums)
+                start += steps * count
             accumulator[self.head_rows] = head
         np.add.at(accumulator, self.tail_rows, products[start:])
         # repro: ignore[RPR201] fp32 accumulation is already complete; the

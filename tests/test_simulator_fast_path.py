@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.formats import COOMatrix
 from repro.generators import (
     banded_matrix,
     block_sparse_matrix,
@@ -30,6 +31,7 @@ from repro.serpens import (
     SerpensConfig,
     SerpensSimulator,
 )
+from repro.serpens.simulator import HEAD_MIN_ROWS
 from repro.spmv import spmv
 
 
@@ -281,7 +283,7 @@ class TestEquivalenceAcrossGenerators:
 
 
 class TestJaggedDiagonalPlan:
-    """The plan's head (slice adds), tail (``np.add.at``) and sort paths.
+    """The plan's head (block adds), tail (``np.add.at``) and sort paths.
 
     The generator suite and the small-matrix property above mostly have
     fewer than :data:`~repro.serpens.simulator.HEAD_MIN_ROWS` non-empty
@@ -321,7 +323,73 @@ class TestJaggedDiagonalPlan:
         fast, reference = launch_both(program, config, x, y, alpha, beta)
         assert_equivalent(fast, reference)
         plan = launch_plan(program, config)
-        assert plan.head_counts and plan.tail_rows.size
+        assert plan.head_blocks and plan.tail_rows.size
+
+    def test_runs_of_equal_width_steps_add_in_issue_order(self):
+        # 300 rows of 6 elements hold the first steps at one width, 10 rows
+        # each of 2, 3 and 4 elements narrow the steps between, and 5 hub
+        # rows of 60 run on into the tail.  Rows 0-19 read only columns
+        # where x is +0.0, with negative values: all their products are
+        # -0.0, and each must still sum from +0.0 to +0.0.
+        rng = np.random.default_rng(28)
+        num_rows, num_cols = 400, 400
+        lengths = np.repeat([6, 2, 3, 4, 60], [300, 10, 10, 10, 5])
+        zero_cols = np.arange(0, num_cols, 5)
+        rows, cols = [], []
+        for row, length in enumerate(lengths):
+            pool = zero_cols if row < 20 else num_cols
+            rows.append(np.full(length, row))
+            cols.append(rng.choice(pool, length, replace=False))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        values = rng.uniform(-1, 1, rows.size)
+        values[rows < 20] = -rng.uniform(0.5, 1.0, int((rows < 20).sum()))
+        matrix = COOMatrix(num_rows, num_cols, rows, cols, values)
+        x = rng.uniform(-1, 1, num_cols) * 10.0 ** rng.integers(-3, 4, num_cols)
+        x[zero_cols] = 0.0
+        config = small_config()
+        program = build_program(matrix, config.to_partition_params())
+        y = -np.ones(num_rows)
+        fast, reference = launch_both(program, config, x, y, alpha=1.0, beta=0.0)
+        assert_equivalent(fast, reference)
+        assert fast.y[:20].tobytes() == np.zeros(20).tobytes()
+
+        plan = launch_plan(program, config)
+        assert plan.head_blocks == ((2, 335), (1, 325), (1, 315), (2, 305))
+        kept = sum(steps * count for steps, count in plan.head_blocks)
+        assert kept + plan.tail_rows.size == plan.cols.size == matrix.nnz
+        assert plan.cols.dtype == np.intp
+
+    @pytest.mark.parametrize("count", [HEAD_MIN_ROWS, 1003])
+    @pytest.mark.parametrize("steps", [2, 3, 17])
+    def test_block_reduce_adds_one_step_at_a_time(self, steps, count):
+        # A launch adds a run of equal-width steps with np.add.reduce over
+        # axis 0 of a C-contiguous float32 block.  The plan is bit-exact only
+        # while NumPy adds each step onto the running sums in step order,
+        # element by element, as this loop does.
+        rng = np.random.default_rng(steps * count)
+        specials = np.array(
+            [-0.0, np.inf, -np.inf, np.nan, 1e-45, -3e-42, 1e-39],
+            dtype=np.float32,
+        )
+
+        def draw(shape):
+            scale = 10.0 ** rng.integers(-4, 5, shape)
+            drawn = (rng.standard_normal(shape) * scale).astype(np.float32)
+            special = rng.random(shape) < 0.05
+            drawn[special] = rng.choice(specials, int(special.sum()))
+            return drawn
+
+        head, block = draw(count), draw((steps, count))
+        expected = head.copy()
+        for step in block:
+            expected += step
+        reduced = np.empty_like(head)
+        carried = block.copy()
+        np.add(head, carried[0], out=carried[0])
+        np.add.reduce(carried, axis=0, out=reduced)
+        assert reduced.tobytes() == expected.tobytes()
+        # The data is order-sensitive: summing the block first rounds apart.
+        assert (head + block.sum(axis=0)).tobytes() != expected.tobytes()
 
     def test_equivalence_past_16_bit_sort_keys(self):
         # More rows than a uint16 holds, and more URAM entries too: both of
@@ -350,7 +418,7 @@ class TestJaggedDiagonalPlan:
         y = -np.ones(matrix.num_rows)
         fast, reference = launch_both(program, config, x, y, alpha=1.0, beta=0.0)
         assert_equivalent(fast, reference)
-        assert launch_plan(program, config).head_counts
+        assert launch_plan(program, config).head_blocks
         zero_rows = fast.y == 0
         assert zero_rows.sum() > 100 and not np.signbit(fast.y[zero_rows]).any()
 
@@ -365,7 +433,7 @@ class TestJaggedDiagonalPlan:
         fast, reference = launch_both(program, WIDER_BUILD, x, y, 1.5, -0.5)
         assert_equivalent(fast, reference)
         plan = launch_plan(program, WIDER_BUILD)
-        assert plan.head_counts
+        assert plan.head_blocks
         assert plan.cols.size < matrix.nnz
 
 
@@ -516,16 +584,17 @@ class TestLaunchPlan:
         x = np.random.default_rng(26).uniform(-1, 1, matrix.num_cols)
         first = simulator.run(program, x).y
         second = simulator.run(program, x).y
-        assert launch_plan(program, config).head_counts
+        assert launch_plan(program, config).head_blocks
         assert not np.shares_memory(first, second)
         expected = second.tobytes()
         first[:] = 7.0
         assert second.tobytes() == expected
         assert simulator.run(program, x).y.tobytes() == expected
 
-    def test_plan_holds_eight_bytes_per_kept_nonzero_plus_its_tail(self):
-        # A multi-segment program: the values are gathered into plan order,
-        # and no issue-ordered row array is kept.
+    def test_plan_holds_twelve_bytes_per_kept_nonzero_plus_its_tail(self):
+        # A multi-segment program: the native-index columns and the values
+        # are gathered into plan order, and no issue-ordered row array is
+        # kept.
         config = small_config()
         matrix = random_uniform(1000, 1000, 20_000, seed=27)
         program = build_program(matrix, config.to_partition_params())
@@ -535,7 +604,7 @@ class TestLaunchPlan:
         held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
         kept, tail = plan.cols.size, plan.tail_rows.size
         assert kept == matrix.nnz and tail < kept // 4
-        assert held <= 8 * kept + 4 * tail + 4 * matrix.num_rows
+        assert held <= 12 * kept + 4 * tail + 4 * matrix.num_rows
 
     def test_warm_launch_allocates_only_its_numerics(self):
         # A warm Serpens-A16 launch of a ~2k-nnz matrix: with the PE array
